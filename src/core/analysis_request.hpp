@@ -29,12 +29,8 @@
 namespace ara {
 
 /// Declarative metric query plan (core/metrics/metrics_spec.hpp):
-/// caller-chosen quantile and return-period sets per scope. The legacy
-/// two-boolean MetricsSelection survives as a shim —
-/// `MetricsSpec::from_selection(...)` / `MetricsSpec::layer_summaries()`
-/// / `MetricsSpec::all()` migrate old call sites mechanically.
+/// caller-chosen quantile and return-period sets per scope.
 using MetricsSpec = metrics::MetricsSpec;
-using MetricsSelection = metrics::MetricsSelection;
 
 /// What happens to the simulated YLT itself. Metrics are computed
 /// either way; the policy decides whether the table outlives the run.

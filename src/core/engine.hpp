@@ -86,8 +86,9 @@ struct EngineContext {
   /// sweep: op counts, simulated phases and simulated seconds are
   /// computed exactly as a real run would (the simulated timeline is a
   /// pure function of the workload shape), but the YLT stays empty.
-  /// The session's shard merge uses this to reconstitute the
-  /// monolithic run's accounting bitwise (DESIGN.md §5).
+  /// kAuto's predictions are cost-only runs (DESIGN.md §3), and every
+  /// sharded, adaptive or distributed run reconstitutes the monolithic
+  /// accounting bitwise with one (replay_accounting, DESIGN.md §5).
   bool cost_only = false;
 };
 
@@ -165,20 +166,6 @@ class Engine {
     return run(portfolio, yet, EngineContext{});
   }
 };
-
-/// Algorithmic operation counts of one full analysis in the paper's
-/// layer-major formulation (identical for every such engine — the
-/// algorithm does the same work everywhere; only the memory placement
-/// differs). `global_updates` / `shared_accesses` are zero here;
-/// engines fill them according to where their per-event scratch lives.
-OpCounts count_algorithm_ops(const Portfolio& portfolio, const Yet& yet);
-
-/// Operation counts of the trial-major fused sweep: the same algorithm
-/// (identical lookups, financial/occurrence/aggregate applications per
-/// layer) but the YET is streamed once for all layers, so
-/// `event_fetches` is the occurrence count instead of occurrences x
-/// layers. Equal to `count_algorithm_ops` on single-layer portfolios.
-OpCounts count_fused_algorithm_ops(const Portfolio& portfolio, const Yet& yet);
 
 /// Operation counts of a contiguous trial range (one shard's or one
 /// device's share of the algorithm's work) in the layer-major

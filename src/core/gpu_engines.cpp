@@ -147,6 +147,38 @@ void run_optimized_on_device(simgpu::SimDevice& dev, const Portfolio& p,
   dev.copy(static_cast<std::uint64_t>(p.layer_count()) * trials * loss_bytes);
 }
 
+// Runs the optimised kernel on every device of `platform`, device d
+// covering global trials ranges[d]. While kernels execute, one host
+// thread drives one GPU (the paper's dispatch scheme, realised by
+// SimPlatform::for_each_device). A cost-only replay only charges the
+// device timelines — there is nothing to overlap — so it visits the
+// devices inline and spawns no threads: kAuto's predict replays every
+// kind on each call.
+template <typename Real>
+void run_optimized_on_platform(simgpu::SimPlatform& platform,
+                               const Portfolio& p, const Yet& yet,
+                               const TableStore<Real>* shared_tables,
+                               const EngineConfig& cfg,
+                               const std::vector<parallel::Range>& ranges,
+                               std::size_t out_base, Ylt& out,
+                               bool cost_only) {
+  // Tables are built once on the host (or borrowed from the session's
+  // cache) and shipped to every device; the YET is sliced.
+  TableStore<Real> local;
+  const TableStore<Real>& tables =
+      cost_only ? local : *select_tables(shared_tables, local, p);
+  const auto drive = [&](std::size_t d) {
+    run_optimized_on_device<Real>(platform.device(d), p, yet, tables, cfg,
+                                  ranges[d].begin, ranges[d].end, out_base,
+                                  out, cost_only);
+  };
+  if (!cost_only) {
+    platform.for_each_device(drive);
+    return;
+  }
+  for (std::size_t d = 0; d < platform.device_count(); ++d) drive(d);
+}
+
 }  // namespace
 
 std::size_t optimized_shared_bytes(unsigned block_threads,
@@ -629,29 +661,15 @@ SimulationResult HeterogeneousMultiGpuEngine::run(
   }
 
   if (config_.use_float) {
-    TableStore<float> local;
-    const TableStore<float>& tables =
-        context.cost_only
-            ? local
-            : *select_tables(context.tables_f32, local, portfolio);
-    platform.for_each_device([&](std::size_t d) {
-      run_optimized_on_device<float>(platform.device(d), portfolio, yet,
-                                     tables, config_, ranges[d].begin,
-                                     ranges[d].end, range.begin, result.ylt,
+    run_optimized_on_platform<float>(platform, portfolio, yet,
+                                     context.tables_f32, config_, ranges,
+                                     range.begin, result.ylt,
                                      context.cost_only);
-    });
   } else {
-    TableStore<double> local;
-    const TableStore<double>& tables =
-        context.cost_only
-            ? local
-            : *select_tables(context.tables_f64, local, portfolio);
-    platform.for_each_device([&](std::size_t d) {
-      run_optimized_on_device<double>(platform.device(d), portfolio, yet,
-                                      tables, config_, ranges[d].begin,
-                                      ranges[d].end, range.begin, result.ylt,
+    run_optimized_on_platform<double>(platform, portfolio, yet,
+                                      context.tables_f64, config_, ranges,
+                                      range.begin, result.ylt,
                                       context.cost_only);
-    });
   }
 
   result.wall_seconds = wall.seconds();
@@ -696,34 +714,16 @@ SimulationResult MultiGpuEngine::run(const Portfolio& portfolio,
     r.end += range.begin;
   }
 
-  // Tables are built once on the host (or borrowed from the session's
-  // cache) and shipped to every device; the YET is sliced. One host
-  // thread drives one GPU (the paper's dispatch scheme), realised by
-  // SimPlatform::for_each_device.
   if (config_.use_float) {
-    TableStore<float> local;
-    const TableStore<float>& tables =
-        context.cost_only
-            ? local
-            : *select_tables(context.tables_f32, local, portfolio);
-    platform.for_each_device([&](std::size_t d) {
-      run_optimized_on_device<float>(platform.device(d), portfolio, yet,
-                                     tables, config_, ranges[d].begin,
-                                     ranges[d].end, range.begin, result.ylt,
+    run_optimized_on_platform<float>(platform, portfolio, yet,
+                                     context.tables_f32, config_, ranges,
+                                     range.begin, result.ylt,
                                      context.cost_only);
-    });
   } else {
-    TableStore<double> local;
-    const TableStore<double>& tables =
-        context.cost_only
-            ? local
-            : *select_tables(context.tables_f64, local, portfolio);
-    platform.for_each_device([&](std::size_t d) {
-      run_optimized_on_device<double>(platform.device(d), portfolio, yet,
-                                      tables, config_, ranges[d].begin,
-                                      ranges[d].end, range.begin, result.ylt,
+    run_optimized_on_platform<double>(platform, portfolio, yet,
+                                      context.tables_f64, config_, ranges,
+                                      range.begin, result.ylt,
                                       context.cost_only);
-    });
   }
 
   result.wall_seconds = wall.seconds();

@@ -3,21 +3,19 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <limits>
+#include <new>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 
 #include "core/failpoint.hpp"
-#include "core/gpu_engines.hpp"
+#include "core/metrics/portfolio_rollup.hpp"
 #include "core/metrics/streaming.hpp"
 #include "io/yet_chunk.hpp"
 #include "parallel/parallel_for.hpp"
-#include "parallel/partition.hpp"
-#include "perf/cpu_cost_model.hpp"
-#include "perf/machine_profile.hpp"
 #include "perf/stopwatch.hpp"
-#include "simgpu/gpu_cost_model.hpp"
 
 namespace ara {
 
@@ -72,177 +70,36 @@ std::string engine_cache_key(EngineKind kind, const EngineConfig& c,
   return key.str();
 }
 
-// ---- kAuto cost prediction ------------------------------------------------
-//
-// Each helper mirrors the launch shapes, kernel traits and scratch
-// attribution of the corresponding engine (cpu_engines.cpp /
-// gpu_engines.cpp), evaluated through the same cost models the engines
-// charge their simulated time with — so a prediction is the engine's
-// simulated_seconds computed without executing the workload.
-
-double predict_cpu(const Portfolio& portfolio, const Yet& yet,
-                   const EngineConfig& cfg, EngineKind kind) {
-  // The fused engines run the trial-major sweep (YET streamed once for
-  // all layers); only the literal reference implementation re-fetches
-  // the YET per layer.
-  OpCounts ops = kind == EngineKind::kSequentialReference
-                     ? count_algorithm_ops(portfolio, yet)
-                     : count_fused_algorithm_ops(portfolio, yet);
-  if (kind == EngineKind::kSequentialFused) {
-    ops.global_updates = ops.occurrence_ops ? 1 : 0;
-  } else {
-    ops.global_updates = ops.occurrence_ops * kScratchTouchesPerEvent;
-  }
-  const perf::CpuCostModel model(perf::intel_i7_2600());
-  if (kind == EngineKind::kMultiCore) {
-    return model.total_seconds(ops, std::max(1u, cfg.cores),
-                               std::max(1u, cfg.threads_per_core));
-  }
-  return model.total_seconds(ops, 1);
-}
-
-EnginePrediction predict_gpu_basic(const Portfolio& portfolio, const Yet& yet,
-                                   const EngineConfig& cfg,
-                                   const simgpu::DeviceSpec& device) {
-  EnginePrediction p;
-  p.kind = EngineKind::kGpuBasic;
-  const std::size_t trials = yet.trial_count();
-  const std::uint64_t footprint =
-      tables_device_bytes(portfolio, 8) + yet_device_bytes(yet, 0, trials) +
-      static_cast<std::uint64_t>(portfolio.layer_count()) * trials * 8;
-  if (footprint > device.global_mem_bytes) {
-    p.feasible = false;
-    p.note = "inputs exceed device memory";
-    return p;
-  }
-
-  simgpu::KernelTraits traits;
-  traits.loss_bytes = 8;
-  traits.scratch_in_global = true;
-
-  simgpu::LaunchConfig launch;
-  launch.block_threads = cfg.block_threads;
-  launch.grid_blocks = static_cast<unsigned>(
-      (trials + cfg.block_threads - 1) / cfg.block_threads);
-  launch.regs_per_thread = 20;
-
-  OpCounts ops = range_fused_ops(portfolio, yet, 0, trials);
-  ops.global_updates = ops.occurrence_ops * kScratchTouchesPerEvent;
-
-  const simgpu::GpuCostModel model(device);
-  const simgpu::KernelCost cost = model.estimate(launch, traits, ops);
-  if (!cost.feasible) {
-    p.feasible = false;
-    p.note = cost.infeasible_reason;
-    return p;
-  }
-  // One fused multi-layer launch charged the full range
-  // (gpu_engines.cpp).
-  p.seconds = cost.phases.total();
-  return p;
-}
-
-// Predicted kernel seconds of the optimised kernel over one device's
-// trial slice; mirrors run_optimized_on_device.
-simgpu::KernelCost optimized_range_cost(const Portfolio& portfolio,
-                                        const Yet& yet,
-                                        const EngineConfig& cfg,
-                                        const simgpu::GpuCostModel& model,
-                                        std::size_t begin, std::size_t end) {
-  simgpu::KernelTraits traits;
-  traits.loss_bytes = cfg.use_float ? 4 : 8;
-  traits.chunked = cfg.chunking;
-  traits.mlp_per_thread = cfg.chunking ? std::min(cfg.chunk_size, 16u) : 1;
-  traits.scratch_in_global = !cfg.chunking && !cfg.use_registers;
-  traits.scratch_in_registers = cfg.use_registers;
-  traits.unrolled = cfg.unroll;
-
-  simgpu::LaunchConfig launch;
-  launch.block_threads = cfg.block_threads;
-  launch.grid_blocks = static_cast<unsigned>(
-      (end - begin + cfg.block_threads - 1) / cfg.block_threads);
-  launch.shared_bytes_per_block =
-      cfg.chunking ? optimized_shared_bytes(cfg.block_threads, cfg.chunk_size)
-                   : 0;
-  launch.regs_per_thread = cfg.use_registers ? 63 : 32;
-
-  OpCounts ops = range_fused_ops(portfolio, yet, begin, end);
-  const std::uint64_t scratch = ops.occurrence_ops * kScratchTouchesPerEvent;
-  if (traits.scratch_in_global) {
-    ops.global_updates = scratch;
-  } else if (!traits.scratch_in_registers) {
-    ops.shared_accesses = scratch;
-  }
-  return model.estimate(launch, traits, ops);
-}
-
-EnginePrediction predict_gpu_optimized(const Portfolio& portfolio,
-                                       const Yet& yet, const EngineConfig& cfg,
-                                       const simgpu::DeviceSpec& device) {
-  EnginePrediction p;
-  p.kind = EngineKind::kGpuOptimized;
-  const std::size_t trials = yet.trial_count();
-  const unsigned loss_bytes = cfg.use_float ? 4 : 8;
-  const std::uint64_t footprint =
-      tables_device_bytes(portfolio, loss_bytes) +
-      yet_device_bytes(yet, 0, trials) +
-      static_cast<std::uint64_t>(portfolio.layer_count()) * trials * loss_bytes;
-  if (footprint > device.global_mem_bytes) {
-    p.feasible = false;
-    p.note = "inputs exceed device memory";
-    return p;
-  }
-  const simgpu::GpuCostModel model(device);
-  const simgpu::KernelCost cost =
-      optimized_range_cost(portfolio, yet, cfg, model, 0, trials);
-  if (!cost.feasible) {
-    p.feasible = false;
-    p.note = cost.infeasible_reason;
-    return p;
-  }
-  p.seconds = cost.phases.total();
-  return p;
-}
-
-EnginePrediction predict_multi_gpu(const Portfolio& portfolio, const Yet& yet,
-                                   const EngineConfig& cfg,
-                                   const simgpu::DeviceSpec& device,
-                                   std::size_t gpu_count) {
-  EnginePrediction p;
-  p.kind = EngineKind::kMultiGpu;
-  if (gpu_count == 0) {
-    p.feasible = false;
-    p.note = "gpu_count is zero";
-    return p;
-  }
-  const unsigned loss_bytes = cfg.use_float ? 4 : 8;
-  const simgpu::GpuCostModel model(device);
-  const auto ranges = parallel::split_even(yet.trial_count(), gpu_count);
-  double slowest = 0.0;
-  for (const parallel::Range& r : ranges) {
-    if (r.empty()) continue;
-    const std::uint64_t footprint =
-        tables_device_bytes(portfolio, loss_bytes) +
-        yet_device_bytes(yet, r.begin, r.end) +
-        static_cast<std::uint64_t>(portfolio.layer_count()) * r.size() *
-            loss_bytes;
-    if (footprint > device.global_mem_bytes) {
-      p.feasible = false;
-      p.note = "device slice exceeds device memory";
-      return p;
-    }
-    const simgpu::KernelCost cost =
-        optimized_range_cost(portfolio, yet, cfg, model, r.begin, r.end);
-    if (!cost.feasible) {
-      p.feasible = false;
-      p.note = cost.infeasible_reason;
-      return p;
-    }
-    slowest = std::max(slowest, cost.phases.total());
-  }
-  // Devices run concurrently; the platform finishes with the slowest.
-  p.seconds = slowest;
-  return p;
+// Runs `run_shard(i)` for every ranges[i] on `pool`: one task per
+// shard, pulled dynamically so shards pipeline across the pool's
+// workers. The one shard dispatch of every sharded path — fixed and
+// adaptive waves, race arms, the reinstatement pass.
+void run_shards(parallel::ThreadPool& pool, std::span<const TrialRange> ranges,
+                const std::function<void(std::size_t)>& run_shard) {
+  parallel::parallel_for(
+      pool, ranges.size(),
+      [&](parallel::Range shards) {
+        for (std::size_t i = shards.begin; i < shards.end; ++i) {
+          try {
+            ARA_FAILPOINT("shard.worker_throw", {
+              (void)ara_fp;
+              throw std::runtime_error("injected shard worker fault");
+            });
+            run_shard(i);
+          } catch (const DeadlineExceeded&) {
+            // Typed: queue-level callers (the serve scheduler) turn it
+            // into an explicit shed — wrapping would erase that.
+            throw;
+          } catch (const std::exception& e) {
+            // Name the shard: a batch caller's future should say which
+            // trial range failed, not just that "a worker" did.
+            throw std::runtime_error(
+                "shard [" + std::to_string(ranges[i].begin) + ", " +
+                std::to_string(ranges[i].end) + ") failed: " + e.what());
+          }
+        }
+      },
+      parallel::Schedule::kDynamic, /*chunk=*/1);
 }
 
 }  // namespace
@@ -401,33 +258,28 @@ std::size_t AnalysisSession::pending_requests() {
 std::vector<EnginePrediction> AnalysisSession::predict(
     const Portfolio& portfolio, const Yet& yet,
     const ExecutionPolicy& policy) const {
+  // A prediction is the engine's own accounting: a cost-only run of
+  // the kind under the policy, so it equals the kind's
+  // simulated_seconds bitwise. A workload the kind cannot run fails
+  // the replay exactly as it would fail the run.
+  EngineContext cost_ctx;
+  cost_ctx.cost_only = true;
   std::vector<EnginePrediction> out;
   out.reserve(6);
   for (const EngineKind kind : all_engine_kinds()) {
-    const EngineConfig cfg = resolved_config(policy, kind);
-    switch (kind) {
-      case EngineKind::kSequentialReference:
-      case EngineKind::kSequentialFused:
-      case EngineKind::kMultiCore: {
-        EnginePrediction p;
-        p.kind = kind;
-        p.seconds = predict_cpu(portfolio, yet, cfg, kind);
-        out.push_back(std::move(p));
-        break;
-      }
-      case EngineKind::kGpuBasic:
-        out.push_back(
-            predict_gpu_basic(portfolio, yet, cfg, policy.gpu_device));
-        break;
-      case EngineKind::kGpuOptimized:
-        out.push_back(
-            predict_gpu_optimized(portfolio, yet, cfg, policy.gpu_device));
-        break;
-      case EngineKind::kMultiGpu:
-        out.push_back(predict_multi_gpu(portfolio, yet, cfg,
-                                        policy.multi_gpu_device,
-                                        policy.gpu_count));
-        break;
+    EnginePrediction& p = out.emplace_back();
+    p.kind = kind;
+    ExecutionPolicy concrete = policy;
+    concrete.engine = kind;
+    try {
+      p.seconds =
+          make_engine(concrete)->run(portfolio, yet, cost_ctx).simulated_seconds;
+    } catch (const std::bad_alloc&) {
+      p.feasible = false;
+      p.note = "inputs exceed device memory";
+    } catch (const std::exception& e) {
+      p.feasible = false;
+      p.note = e.what();
     }
   }
   return out;
@@ -444,8 +296,10 @@ EnginePrediction AnalysisSession::choose(const Portfolio& portfolio,
     if (!best || p.seconds < best->seconds) best = &p;
   }
   if (!best) {
+    // The CPU kinds fail only on bad inputs; their note says which.
     throw std::runtime_error(
-        "AnalysisSession::choose: no feasible engine for workload");
+        "AnalysisSession::choose: no feasible engine for workload (" +
+        predictions.front().note + ")");
   }
   return *best;
 }
@@ -460,76 +314,6 @@ ShardPlan AnalysisSession::shard_plan(const Portfolio& portfolio,
                      policy.memory_budget_bytes,
                      shard_bytes_per_trial(portfolio.layer_count(),
                                            yet.mean_events_per_trial()));
-}
-
-SimulationResult AnalysisSession::run_sharded(const Engine& engine,
-                                              const Portfolio& portfolio,
-                                              const Yet& yet, EngineKind kind,
-                                              const EngineConfig& cfg,
-                                              const ShardPlan& plan,
-                                              YltBlockSink* sink,
-                                              bool materialize) {
-  perf::Stopwatch wall;
-  ShardMerger merger(portfolio.layer_count(), yet.trial_count(), sink,
-                     materialize);
-
-  // The context is shard-invariant (tables, compute pool); bind it
-  // once and pin the tables for the whole wave instead of paying the
-  // cache lock per shard.
-  TablePins pins;
-  const EngineContext base_ctx = context_for(portfolio, kind, cfg, pins);
-
-  // One task per shard, pulled dynamically so shards pipeline across
-  // the shard pool's workers; partial results stream into the merger
-  // in completion order (the merge algebra is order-independent —
-  // disjoint YLT blocks, integer op sums).
-  parallel::parallel_for(
-      shard_pool(), plan.shard_count(),
-      [&](parallel::Range shards) {
-        for (std::size_t i = shards.begin; i < shards.end; ++i) {
-          EngineContext ctx = base_ctx;
-          ctx.trials = plan.shard(i);
-          try {
-            ARA_FAILPOINT("shard.worker_throw", {
-              (void)ara_fp;
-              throw std::runtime_error("injected shard worker fault");
-            });
-            merger.add(engine.run(portfolio, yet, ctx));
-          } catch (const DeadlineExceeded&) {
-            // Typed: queue-level callers (the serve scheduler) turn it
-            // into an explicit shed — wrapping would erase that.
-            throw;
-          } catch (const std::exception& e) {
-            // Name the shard: a batch caller's future should say which
-            // trial range failed, not just that "a worker" did.
-            throw std::runtime_error(
-                "shard [" + std::to_string(ctx.trials.begin) + ", " +
-                std::to_string(ctx.trials.end) + ") failed: " + e.what());
-          }
-        }
-      },
-      parallel::Schedule::kDynamic, /*chunk=*/1);
-
-  SimulationResult merged = merger.finish();
-  const double elapsed = wall.seconds();
-
-  // Reconstitute the monolithic accounting bitwise: op counts and the
-  // simulated timeline are pure functions of the full workload, so a
-  // cost-only replay over the whole range computes exactly what the
-  // monolithic run would have reported (DESIGN.md §5). The per-shard
-  // simulated times (which include real per-shard launch overhead)
-  // stay available through ShardMerger::sharded_simulated_seconds.
-  EngineContext cost_ctx;
-  cost_ctx.cost_only = true;
-  const SimulationResult mono = engine.run(portfolio, yet, cost_ctx);
-  merged.ops = mono.ops;
-  merged.simulated_phases = mono.simulated_phases;
-  merged.simulated_seconds = mono.simulated_seconds;
-  merged.engine_name = mono.engine_name;
-  merged.devices = mono.devices;
-  merged.simd_isa = mono.simd_isa;
-  merged.wall_seconds = elapsed;
-  return merged;
 }
 
 const Engine& AnalysisSession::engine_for(EngineKind kind,
@@ -579,23 +363,16 @@ AnalysisResult AnalysisSession::run_resolved(const AnalysisRequest& request,
   const Portfolio& portfolio = *request.portfolio;
   const Yet& yet = *request.yet;
 
-  AnalysisResult result;
-  result.label = request.label;
-
   // Validate the metric plan and retention before any work runs.
   request.metrics.validate();
-  if (request.ylt_retention == YltRetention::kSpillToFile &&
-      request.ylt_path.empty()) {
+  const bool spill = request.ylt_retention == YltRetention::kSpillToFile;
+  if (spill && request.ylt_path.empty()) {
     throw std::invalid_argument(
         "AnalysisSession: YltRetention::kSpillToFile requires "
         "AnalysisRequest::ylt_path");
   }
-
-  const ShardPlan plan = shard_plan(portfolio, yet, policy);
-  const bool sharded_run = policy.sharded() && plan.shard_count() > 1;
   const bool will_simulate =
       request.core_simulation || request.secondary_uncertainty.has_value();
-
   if (request.stopping) {
     if (!will_simulate) {
       throw std::invalid_argument(
@@ -603,10 +380,27 @@ AnalysisResult AnalysisSession::run_resolved(const AnalysisRequest& request,
           "(or secondary uncertainty) — an extension-only request has no "
           "trial loop to stop");
     }
-    return run_adaptive(request, policy, plan);
-  }
-
-  if (request.ylt_retention == YltRetention::kSpillToFile && !will_simulate) {
+    request.stopping->validate();
+    if (spill) {
+      // The chunk writer pre-extends the file to the full fixed trial
+      // count under a valid header; an early stop would leave the
+      // unrun suffix reloading as silently-zero losses.
+      throw std::invalid_argument(
+          "AnalysisSession: adaptive stopping cannot spill the YLT — the "
+          "spill format is sized for the fixed trial count");
+    }
+    if (!request.reinstatement_terms.empty()) {
+      throw std::invalid_argument(
+          "AnalysisSession: adaptive stopping does not compose with "
+          "reinstatement pricing (the extension prices the fixed "
+          "workload)");
+    }
+    if (portfolio.layer_count() == 0) {
+      throw std::invalid_argument(
+          "AnalysisSession: adaptive stopping needs at least one layer — "
+          "the stopping rule watches the per-trial portfolio loss");
+    }
+  } else if (spill && !will_simulate) {
     // An extension-only run produces no YLT; silently writing nothing
     // would surface as a confusing open-failure at the caller's reload.
     throw std::invalid_argument(
@@ -614,68 +408,10 @@ AnalysisResult AnalysisSession::run_resolved(const AnalysisRequest& request,
         "simulation (or secondary uncertainty) — an extension-only "
         "request produces no YLT to spill");
   }
-  const bool metrics_feasible = will_simulate && request.metrics.any() &&
-                                portfolio.layer_count() > 0 &&
-                                yet.trial_count() > 0;
 
-  // A sharded run that does not keep its YLT streams every shard block
-  // straight into the metric reducers and/or the spill writer and
-  // drops it — the layers x trials table is never allocated
-  // (DESIGN.md §6). Monolithic runs (and kKeep) compute metrics and
-  // spill from the full table after the fact; either way the numbers
-  // agree (bitwise on the order-statistic family, <= 1e-12 relative on
-  // the mean family).
-  const bool stream_blocks =
-      sharded_run && will_simulate &&
-      request.ylt_retention != YltRetention::kKeep;
-
-  // A failed spill must not leave its file behind: the chunk writer
-  // pre-extends the file to full size under a valid header before any
-  // shard completes, so a leftover from an aborted run would reload as
-  // silently-zero losses. Armed only once a writer has truncated the
-  // path (a failure before that must not delete a pre-existing file
-  // this run never touched); disarmed after a successful close.
-  struct SpillCleanup {
-    const char* path = nullptr;
-    ~SpillCleanup() {
-      if (path != nullptr) std::remove(path);
-    }
-  } spill_cleanup;
-
-  std::optional<metrics::StreamingMetricsReducer> reducer;
-  std::unique_ptr<io::YltChunkWriter> spill_writer;
-  std::optional<SpillSink> spill_sink;
-  FanoutSink fanout;
-  if (stream_blocks) {
-    if (metrics_feasible) {
-      reducer.emplace(layer_labels(portfolio), yet.trial_count(),
-                      request.metrics);
-      fanout.attach(&*reducer);
-    }
-    if (request.ylt_retention == YltRetention::kSpillToFile) {
-      spill_writer = std::make_unique<io::YltChunkWriter>(
-          request.ylt_path, portfolio.layer_count(), yet.trial_count());
-      spill_cleanup.path = request.ylt_path.c_str();
-      spill_sink.emplace(*spill_writer);
-      fanout.attach(&*spill_sink);
-    }
-  }
-  YltBlockSink* const sink = stream_blocks ? &fanout : nullptr;
-
-  const auto execute = [&](const Engine& engine, EngineKind ctx_kind,
-                           const EngineConfig& cfg) {
-    // A plan that collapses to one shard IS the monolithic run; the
-    // merge copy and the cost-only replay would buy nothing.
-    if (sharded_run) {
-      result.simulation = run_sharded(engine, portfolio, yet, ctx_kind, cfg,
-                                      plan, sink, /*materialize=*/!stream_blocks);
-      result.shard_count = plan.shard_count();
-    } else {
-      TablePins pins;
-      result.simulation = engine.run(
-          portfolio, yet, context_for(portfolio, ctx_kind, cfg, pins));
-    }
-  };
+  AnalysisResult result;
+  result.label = request.label;
+  const ShardPlan plan = shard_plan(portfolio, yet, policy);
 
   if (request.secondary_uncertainty) {
     // The extension is itself an Engine with a single implementation;
@@ -684,8 +420,9 @@ AnalysisResult AnalysisSession::run_resolved(const AnalysisRequest& request,
     // core engines (its damage draws are keyed by global trial index,
     // so shard boundaries do not move them).
     const ext::SecondaryUncertaintyEngine engine(*request.secondary_uncertainty);
-    execute(engine, EngineKind::kSequentialFused,
-            resolved_config(policy, EngineKind::kSequentialFused));
+    simulate(request, engine, EngineKind::kSequentialFused,
+             resolved_config(policy, EngineKind::kSequentialFused), plan,
+             result);
   } else if (request.core_simulation) {
     EngineKind kind;
     if (policy.engine) {
@@ -697,40 +434,8 @@ AnalysisResult AnalysisSession::run_resolved(const AnalysisRequest& request,
       result.predicted_seconds = best.seconds;
     }
     result.engine = kind;
-    execute(engine_for(kind, policy), kind, resolved_config(policy, kind));
-  }
-  if (will_simulate) result.trials_executed = yet.trial_count();
-
-  if (metrics_feasible) {
-    result.metrics =
-        stream_blocks
-            ? reducer->finish()
-            : metrics::compute_metrics(result.simulation.ylt,
-                                       layer_labels(portfolio),
-                                       request.metrics);
-  }
-
-  if (will_simulate &&
-      request.ylt_retention == YltRetention::kSpillToFile) {
-    if (stream_blocks) {
-      spill_writer->close();
-    } else {
-      // Monolithic table resident: spill it as one block. Same writer,
-      // same bytes as the streamed path.
-      io::YltChunkWriter writer(request.ylt_path,
-                                result.simulation.ylt.layer_count(),
-                                result.simulation.ylt.trial_count());
-      spill_cleanup.path = request.ylt_path.c_str();
-      writer.append(result.simulation.ylt, 0);
-      writer.close();
-    }
-    spill_cleanup.path = nullptr;  // complete and coverage-checked
-    result.ylt_path = request.ylt_path;
-  }
-  if (will_simulate && request.ylt_retention != YltRetention::kKeep) {
-    // Metric-only / spilled runs hand back an empty table; with the
-    // streamed path above it was never allocated in the first place.
-    result.simulation.ylt = Ylt();
+    simulate(request, engine_for(kind, policy), kind,
+             resolved_config(policy, kind), plan, result);
   }
 
   if (!request.reinstatement_terms.empty()) {
@@ -746,20 +451,17 @@ AnalysisResult AnalysisSession::run_resolved(const AnalysisRequest& request,
                     resolved_config(policy, EngineKind::kSequentialFused),
                     pins)
             .tables_f64;
-    if (policy.sharded() && plan.shard_count() > 1) {
+    if (plan.shard_count() > 1) {
       ext::ReinstatementResult full(portfolio.layer_count(),
                                     yet.trial_count());
-      parallel::parallel_for(
-          shard_pool(), plan.shard_count(),
-          [&](parallel::Range shards) {
-            for (std::size_t i = shards.begin; i < shards.end; ++i) {
-              const TrialRange r = plan.shard(i);
-              // Disjoint trial blocks: concurrent merges write
-              // non-overlapping rows.
-              full.merge_trial_block(engine.run(yet, tables, r), r.begin);
-            }
-          },
-          parallel::Schedule::kDynamic, /*chunk=*/1);
+      const std::vector<TrialRange> ranges =
+          shard_ranges(0, yet.trial_count(), plan.shard_trials);
+      run_shards(shard_pool(), ranges, [&](std::size_t i) {
+        // Disjoint trial blocks: concurrent merges write
+        // non-overlapping rows.
+        full.merge_trial_block(engine.run(yet, tables, ranges[i]),
+                               ranges[i].begin);
+      });
       result.reinstatements = std::move(full);
     } else {
       result.reinstatements = engine.run(yet, tables);
@@ -768,171 +470,187 @@ AnalysisResult AnalysisSession::run_resolved(const AnalysisRequest& request,
   return result;
 }
 
-AnalysisResult AnalysisSession::run_adaptive(const AnalysisRequest& request,
-                                             const ExecutionPolicy& policy,
-                                             const ShardPlan& plan) {
+void AnalysisSession::simulate(const AnalysisRequest& request,
+                               const Engine& engine, EngineKind kind,
+                               const EngineConfig& cfg, const ShardPlan& plan,
+                               AnalysisResult& result) {
   const Portfolio& portfolio = *request.portfolio;
   const Yet& yet = *request.yet;
-  const metrics::StoppingSpec& spec = *request.stopping;
-  spec.validate();
-
-  if (request.ylt_retention == YltRetention::kSpillToFile) {
-    // The chunk writer pre-extends the file to the full fixed trial
-    // count under a valid header; an early stop would leave the unrun
-    // suffix reloading as silently-zero losses.
-    throw std::invalid_argument(
-        "AnalysisSession: adaptive stopping cannot spill the YLT — the "
-        "spill format is sized for the fixed trial count");
-  }
-  if (!request.reinstatement_terms.empty()) {
-    throw std::invalid_argument(
-        "AnalysisSession: adaptive stopping does not compose with "
-        "reinstatement pricing (the extension prices the fixed workload)");
-  }
-  if (portfolio.layer_count() == 0) {
-    throw std::invalid_argument(
-        "AnalysisSession: adaptive stopping needs at least one layer — "
-        "the stopping rule watches the per-trial portfolio loss");
-  }
-
-  AnalysisResult result;
-  result.label = request.label;
-
   const std::size_t total = yet.trial_count();
-  const std::size_t budget =
-      spec.max_trials != 0 ? std::min(spec.max_trials, total) : total;
-  // Wave granularity: the policy's shard size when it shards, else a
-  // sixteenth of the budget so the schedule has room to stop early.
-  const std::size_t wave =
-      plan.shard_trials != 0 && plan.shard_trials < total
-          ? plan.shard_trials
-          : std::max<std::size_t>(1, (budget + 15) / 16);
-  metrics::AdaptiveController controller(spec, total, wave);
-
   const bool keep = request.ylt_retention == YltRetention::kKeep;
-  const bool metrics_feasible = request.metrics.any();
-  // The reducer is sized for the whole budget; its reservoirs are
-  // exact for any stopped prefix (streaming.hpp), so finish(executed)
-  // below finalizes whatever the oracle settled on.
-  std::optional<metrics::StreamingMetricsReducer> reducer;
-  if (!keep && metrics_feasible) {
-    reducer.emplace(layer_labels(portfolio), budget, request.metrics);
-  }
-
-  // Engine resolution mirrors the fixed path.
-  std::optional<ext::SecondaryUncertaintyEngine> su_engine;
-  const Engine* engine = nullptr;
-  EngineKind ctx_kind = EngineKind::kSequentialFused;
-  if (request.secondary_uncertainty) {
-    su_engine.emplace(*request.secondary_uncertainty);
-    engine = &*su_engine;
-  } else {
-    if (policy.engine) {
-      ctx_kind = *policy.engine;
-    } else {
-      const EnginePrediction best = choose(portfolio, yet, policy);
-      ctx_kind = best.kind;
-      result.auto_selected = true;
-      result.predicted_seconds = best.seconds;
-    }
-    result.engine = ctx_kind;
-    engine = &engine_for(ctx_kind, policy);
-  }
-  const EngineConfig cfg = resolved_config(policy, ctx_kind);
 
   perf::Stopwatch wall;
+  // The context is shard-invariant (tables, compute pool); bind it
+  // once and pin the tables for the whole run instead of paying the
+  // cache lock per shard.
   TablePins pins;
-  const EngineContext base_ctx = context_for(portfolio, ctx_kind, cfg, pins);
+  const EngineContext base_ctx = context_for(portfolio, kind, cfg, pins);
 
-  const std::size_t layers = portfolio.layer_count();
-  std::vector<SimulationResult> partials;  // kKeep only
+  if (!request.stopping && plan.shard_count() == 1) {
+    // A fixed plan that collapses to one shard IS the monolithic run;
+    // the merge copy and the cost-only replay would buy nothing.
+    result.simulation = engine.run(portfolio, yet, base_ctx);
+    result.trials_executed = total;
+    finish_result(request, portfolio, result);
+    return;
+  }
+
+  // Everything else runs as waves of shards: a fixed run is one wave
+  // to the full trial count at the plan's shard size; an adaptive run
+  // lets the stopping oracle grant waves (DESIGN.md §10) — at the
+  // policy's shard size when it shards, else a sixteenth of the budget
+  // so the schedule has room to stop early.
+  std::optional<metrics::AdaptiveController> controller;
+  std::size_t shard_trials = plan.shard_trials;
+  if (request.stopping) {
+    const metrics::StoppingSpec& spec = *request.stopping;
+    const std::size_t budget =
+        spec.max_trials != 0 ? std::min(spec.max_trials, total) : total;
+    if (shard_trials == 0 || shard_trials >= total) {
+      shard_trials = std::max<std::size_t>(1, (budget + 15) / 16);
+    }
+    controller.emplace(spec, total, shard_trials);
+  }
+
+  // A run that does not keep its YLT streams every shard block straight
+  // into the metric reducer and/or the spill writer and drops it — the
+  // layers x trials table is never allocated (DESIGN.md §6). The
+  // reducer is sized for the whole budget; its reservoirs are exact
+  // for any stopped prefix (streaming.hpp).
+  struct SpillCleanup {
+    // A failed spill must not leave its file behind: the chunk writer
+    // pre-extends the file to full size under a valid header before
+    // any shard completes, so a leftover from an aborted run would
+    // reload as silently-zero losses. Disarmed once the file is whole.
+    const char* path = nullptr;
+    ~SpillCleanup() {
+      if (path != nullptr) std::remove(path);
+    }
+  } spill_cleanup;
+  std::optional<metrics::StreamingMetricsReducer> reducer;
+  std::unique_ptr<io::YltChunkWriter> spill_writer;
+  std::optional<SpillSink> spill_sink;
+  FanoutSink fanout;
+  if (!keep) {
+    if (request.metrics.any() && portfolio.layer_count() > 0) {
+      reducer.emplace(layer_labels(portfolio),
+                      controller ? controller->max_trials() : total,
+                      request.metrics);
+      fanout.attach(&*reducer);
+    }
+    if (request.ylt_retention == YltRetention::kSpillToFile) {
+      spill_writer = std::make_unique<io::YltChunkWriter>(
+          request.ylt_path, portfolio.layer_count(), total);
+      spill_cleanup.path = request.ylt_path.c_str();
+      spill_sink.emplace(*spill_writer);
+      fanout.attach(&*spill_sink);
+    }
+  }
+
+  // A fixed run streams its partials into the merger as they complete
+  // (materializing only for kKeep). An adaptive run's merged trial
+  // count is unknown until the oracle stops, so its kept partials wait
+  // in `partials` and merge after the last wave.
+  std::optional<ShardMerger> merger;
+  if (!controller) {
+    merger.emplace(portfolio.layer_count(), total, keep ? nullptr : &fanout,
+                   keep);
+  }
+  std::mutex mutex;  // guards the controller and `partials`
+  std::vector<SimulationResult> partials;
   std::size_t executed = 0;
   std::size_t shards_run = 0;
-
-  // The wave loop: simulate up to the frontier, feed the oracle, let
-  // it stop or extend. Shards within a wave run concurrently on the
-  // shard pool; waves are sequential by construction (each one exists
-  // only because the previous one failed to satisfy the rule).
-  while (!controller.stopped()) {
-    const std::size_t target = controller.frontier();
+  // Waves are sequential by construction: each one exists only because
+  // the previous one failed to satisfy the stopping rule. Shards within
+  // a wave run concurrently and land in completion order (the merge,
+  // the reducers and the oracle are all order-independent).
+  while (!controller || !controller->stopped()) {
+    const std::size_t target = controller ? controller->frontier() : total;
     const std::vector<TrialRange> ranges =
-        shard_ranges(executed, target, wave);
-    std::vector<SimulationResult> wave_results(ranges.size());
-    parallel::parallel_for(
-        shard_pool(), ranges.size(),
-        [&](parallel::Range shards) {
-          for (std::size_t i = shards.begin; i < shards.end; ++i) {
-            EngineContext ctx = base_ctx;
-            ctx.trials = ranges[i];
-            try {
-              wave_results[i] = engine->run(portfolio, yet, ctx);
-            } catch (const DeadlineExceeded&) {
-              throw;
-            } catch (const std::exception& e) {
-              throw std::runtime_error(
-                  "shard [" + std::to_string(ctx.trials.begin) + ", " +
-                  std::to_string(ctx.trials.end) + ") failed: " + e.what());
-            }
-          }
-        },
-        parallel::Schedule::kDynamic, /*chunk=*/1);
-
-    for (SimulationResult& partial : wave_results) {
-      const std::size_t bt = partial.ylt.trial_count();
-      // Per-trial portfolio loss, layers outer — the association the
-      // streaming reducer uses, so the oracle sees bitwise the same
-      // sample a monolithic portfolio reduction would.
-      std::vector<double> sums(bt, 0.0);
-      for (std::size_t l = 0; l < layers; ++l) {
-        const double* row = partial.ylt.layer_annual(l);
-        for (std::size_t t = 0; t < bt; ++t) sums[t] += row[t];
+        shard_ranges(executed, target, shard_trials);
+    run_shards(shard_pool(), ranges, [&](std::size_t i) {
+      EngineContext ctx = base_ctx;
+      ctx.trials = ranges[i];
+      SimulationResult partial = engine.run(portfolio, yet, ctx);
+      if (merger) {
+        merger->add(partial);
+        return;
       }
-      controller.observe(partial.trial_begin, sums);
-      if (reducer) reducer->consume(partial.ylt, partial.trial_begin);
+      if (!keep) fanout.consume(partial.ylt, partial.trial_begin);
+      const std::vector<double> sums =
+          metrics::portfolio_trial_losses(partial.ylt);
+      std::lock_guard<std::mutex> lock(mutex);
+      controller->observe(partial.trial_begin, sums);
       if (keep) partials.push_back(std::move(partial));
-    }
+    });
     shards_run += ranges.size();
     executed = target;
-    controller.advance();
+    if (!controller) break;
+    controller->advance();
   }
 
   SimulationResult merged;
-  if (keep) {
-    ShardMerger merger(layers, executed, nullptr, /*materialize=*/true);
-    for (const SimulationResult& partial : partials) merger.add(partial);
-    merged = merger.finish();
+  if (merger) {
+    merged = merger->finish();
+  } else if (keep) {
+    ShardMerger late(portfolio.layer_count(), executed);
+    for (const SimulationResult& partial : partials) late.add(partial);
+    merged = late.finish();
   }
   const double elapsed = wall.seconds();
-
-  // Monolithic accounting of what actually ran: cost-only replay over
-  // the executed prefix (engines honor ctx.trials in cost-only mode),
-  // exactly as the fixed sharded path replays the full range.
-  EngineContext cost_ctx;
-  cost_ctx.cost_only = true;
-  cost_ctx.trials = TrialRange{0, executed};
-  const SimulationResult mono = engine->run(portfolio, yet, cost_ctx);
-  merged.ops = mono.ops;
-  merged.simulated_phases = mono.simulated_phases;
-  merged.simulated_seconds = mono.simulated_seconds;
-  merged.engine_name = mono.engine_name;
-  merged.devices = mono.devices;
-  merged.simd_isa = mono.simd_isa;
+  replay_accounting(engine, portfolio, yet, executed, merged);
   merged.wall_seconds = elapsed;
 
   result.simulation = std::move(merged);
   result.shard_count = shards_run;
   result.trials_executed = executed;
-  result.stopped_early = executed < total;
-  result.half_widths = controller.statuses();
-
-  if (metrics_feasible) {
-    result.metrics =
-        keep ? metrics::compute_metrics(result.simulation.ylt,
-                                        layer_labels(portfolio),
-                                        request.metrics)
-             : reducer->finish(executed);
+  if (controller) {
+    result.stopped_early = executed < total;
+    result.half_widths = controller->statuses();
   }
-  return result;
+  finish_result(request, portfolio, result, reducer ? &*reducer : nullptr,
+                spill_writer.get());
+  spill_cleanup.path = nullptr;  // complete and coverage-checked
+}
+
+void finish_result(const AnalysisRequest& request, const Portfolio& portfolio,
+                   AnalysisResult& result,
+                   metrics::StreamingMetricsReducer* streamed_metrics,
+                   io::YltChunkWriter* streamed_spill) {
+  if (request.metrics.any() && portfolio.layer_count() > 0 &&
+      result.trials_executed > 0) {
+    result.metrics =
+        streamed_metrics != nullptr
+            ? streamed_metrics->finish(result.trials_executed)
+            : metrics::compute_metrics(result.simulation.ylt,
+                                       layer_labels(portfolio),
+                                       request.metrics);
+  }
+  if (request.ylt_retention == YltRetention::kSpillToFile) {
+    if (streamed_spill != nullptr) {
+      streamed_spill->close();
+    } else {
+      // Resident table: spill it as one block. Same writer, same bytes
+      // as the streamed path; a failed write must not leave a file
+      // that reloads as silently-zero losses.
+      const Ylt& ylt = result.simulation.ylt;
+      io::YltChunkWriter writer(request.ylt_path, ylt.layer_count(),
+                                ylt.trial_count());
+      try {
+        writer.append(ylt, 0);
+        writer.close();
+      } catch (...) {
+        std::remove(request.ylt_path.c_str());
+        throw;
+      }
+    }
+    result.ylt_path = request.ylt_path;
+  }
+  if (request.ylt_retention != YltRetention::kKeep) {
+    // Metric-only / spilled runs hand back an empty table; a streamed
+    // run never allocated it in the first place.
+    result.simulation.ylt = Ylt();
+  }
 }
 
 RaceResult AnalysisSession::race(std::span<const RaceEntry> entries,
@@ -1009,11 +727,6 @@ RaceResult AnalysisSession::race(std::span<const RaceEntry> entries,
                                resolved_config(pol, kind), arm.pins);
   }
 
-  struct ArmTask {
-    std::size_t arm = 0;
-    TrialRange range;
-  };
-
   std::size_t frontier =
       clamp_to_wave(std::max<std::size_t>(spec.min_trials, 1));
   bool separated = false;
@@ -1021,42 +734,27 @@ RaceResult AnalysisSession::race(std::span<const RaceEntry> entries,
     // Extend every surviving arm to the shared frontier (common random
     // numbers: all arms price the same simulated years), flattened so
     // shards of different arms interleave freely on the pool.
-    std::vector<ArmTask> tasks;
+    std::vector<TrialRange> ranges;
+    std::vector<std::size_t> owners;  // arm index of each range
     for (std::size_t k = 0; k < arms.size(); ++k) {
       if (!arms[k].active) continue;
       arms[k].losses.resize(frontier);
       for (const TrialRange& r :
            shard_ranges(arms[k].executed, frontier, wave)) {
-        tasks.push_back({k, r});
+        ranges.push_back(r);
+        owners.push_back(k);
       }
     }
-    parallel::parallel_for(
-        shard_pool(), tasks.size(),
-        [&](parallel::Range slots) {
-          for (std::size_t i = slots.begin; i < slots.end; ++i) {
-            ArmState& arm = arms[tasks[i].arm];
-            EngineContext ctx = arm.base_ctx;
-            ctx.trials = tasks[i].range;
-            try {
-              const SimulationResult partial =
-                  arm.engine->run(*arm.portfolio, yet, ctx);
-              const std::size_t bt = partial.ylt.trial_count();
-              // Disjoint slices per task: lock-free writes.
-              double* out = arm.losses.data() + partial.trial_begin;
-              for (std::size_t t = 0; t < bt; ++t) out[t] = 0.0;
-              for (std::size_t l = 0; l < partial.ylt.layer_count(); ++l) {
-                const double* row = partial.ylt.layer_annual(l);
-                for (std::size_t t = 0; t < bt; ++t) out[t] += row[t];
-              }
-            } catch (const std::exception& e) {
-              throw std::runtime_error(
-                  "race arm " + std::to_string(tasks[i].arm) + " shard [" +
-                  std::to_string(ctx.trials.begin) + ", " +
-                  std::to_string(ctx.trials.end) + ") failed: " + e.what());
-            }
-          }
-        },
-        parallel::Schedule::kDynamic, /*chunk=*/1);
+    run_shards(shard_pool(), ranges, [&](std::size_t i) {
+      ArmState& arm = arms[owners[i]];
+      EngineContext ctx = arm.base_ctx;
+      ctx.trials = ranges[i];
+      const std::vector<double> sums = metrics::portfolio_trial_losses(
+          arm.engine->run(*arm.portfolio, yet, ctx).ylt);
+      // Disjoint slices per range: lock-free writes.
+      std::copy(sums.begin(), sums.end(),
+                arm.losses.begin() + ranges[i].begin);
+    });
 
     std::size_t active = 0;
     for (std::size_t k = 0; k < arms.size(); ++k) {

@@ -16,9 +16,15 @@
 //   * a persistent compute thread pool handed to engines through
 //     EngineContext (distinct from the run_batch dispatch pool — an
 //     engine running *on* the dispatch pool must not barrier on it),
-//   * the cost models, used by ExecutionPolicy::kAuto to predict the
-//     simulated cost of every engine kind on the concrete workload
-//     and run the cheapest feasible one.
+//   * ExecutionPolicy::kAuto's engine choice: every engine kind's own
+//     cost-only run on the concrete workload predicts its simulated
+//     cost, and the cheapest feasible kind runs.
+//
+// Every execution path — monolithic, sharded, adaptive, and the
+// distributed coordinator's — ends in the same result tail
+// (finish_result below), and every sharded one runs its shards through
+// one dispatch and reports the monolithic accounting through one
+// cost-only replay (replay_accounting, core/shard.hpp).
 //
 // Engine::run stays available as the thin one-shot compatibility
 // layer; the session is a superset (metrics, extensions, batching).
@@ -42,6 +48,13 @@
 #include "parallel/thread_pool.hpp"
 
 namespace ara {
+
+namespace metrics {
+class StreamingMetricsReducer;
+}
+namespace io {
+class YltChunkWriter;
+}
 
 /// Everything one analysis produced: the raw simulation output (YLT +
 /// op counts + measured and simulated timings) plus the requested
@@ -157,8 +170,8 @@ struct RaceResult {
 struct EnginePrediction {
   EngineKind kind = EngineKind::kSequentialReference;
   double seconds = 0.0;  ///< predicted simulated seconds (paper hardware)
-  bool feasible = true;  ///< launch shape + device memory fit
-  std::string note;      ///< why infeasible, when !feasible
+  bool feasible = true;  ///< the kind's cost-only run succeeded
+  std::string note;      ///< why it failed, when !feasible
 };
 
 class AnalysisSession {
@@ -215,8 +228,12 @@ class AnalysisSession {
                        const ExecutionPolicy& policy) const;
 
   /// Simulated-cost predictions of every engine kind for a workload
-  /// under `policy` (launch shapes and devices come from the policy).
-  /// This is the ranking kAuto selects from.
+  /// under `policy` (launch shapes and devices come from the policy):
+  /// each kind's cost-only run, so a prediction equals that kind's
+  /// simulated_seconds bitwise. A kind whose run would throw is
+  /// infeasible, with the reason as its note ("inputs exceed device
+  /// memory" for a device-memory overflow). This is the ranking kAuto
+  /// selects from.
   std::vector<EnginePrediction> predict(const Portfolio& portfolio,
                                         const Yet& yet,
                                         const ExecutionPolicy& policy) const;
@@ -226,8 +243,9 @@ class AnalysisSession {
   }
 
   /// The prediction kAuto resolves to: the cheapest feasible one.
-  /// Throws std::runtime_error if no kind is feasible (cannot happen
-  /// with the CPU kinds present).
+  /// Throws std::runtime_error if no kind is feasible — only on inputs
+  /// no engine can run (e.g. a portfolio and YET over different
+  /// catalogues), whose reason the message carries.
   EnginePrediction choose(const Portfolio& portfolio, const Yet& yet,
                           const ExecutionPolicy& policy) const;
 
@@ -295,29 +313,20 @@ class AnalysisSession {
   AnalysisResult run_resolved(const AnalysisRequest& request,
                               const ExecutionPolicy& policy);
 
-  /// Adaptive wave execution of one core-simulation request: shards
-  /// granted wave by wave under request.stopping's oracle instead of
-  /// the fixed up-front plan (DESIGN.md §10).
-  AnalysisResult run_adaptive(const AnalysisRequest& request,
-                              const ExecutionPolicy& policy,
-                              const ShardPlan& plan);
+  /// Runs `engine` for `request` into `result`, through finish_result.
+  /// A fixed request whose plan is one shard runs monolithically;
+  /// every other runs as waves of shards on the shard pool — one wave
+  /// to the full trial count for a fixed plan, waves granted by
+  /// request.stopping's oracle for an adaptive one (DESIGN.md §10) —
+  /// merged as they complete (or streamed straight into the metric
+  /// reducer / spill writer when the YLT is not kept, DESIGN.md §6),
+  /// with the monolithic accounting replayed at the end (DESIGN.md §5).
+  void simulate(const AnalysisRequest& request, const Engine& engine,
+                EngineKind kind, const EngineConfig& cfg,
+                const ShardPlan& plan, AnalysisResult& result);
   parallel::ThreadPool& batch_pool();
   parallel::ThreadPool& compute_pool();
   parallel::ThreadPool& shard_pool();
-
-  /// Sharded streaming execution of one engine run: shards dispatched
-  /// onto the shard pool, partial results merged as they complete, and
-  /// the monolithic simulated accounting reconstituted bitwise with a
-  /// cost-only replay (DESIGN.md §5). `sink` (optional) receives every
-  /// shard block; `materialize` = false skips assembling the
-  /// monolithic YLT — the metric-only / spill retention modes
-  /// (DESIGN.md §6).
-  SimulationResult run_sharded(const Engine& engine,
-                               const Portfolio& portfolio, const Yet& yet,
-                               EngineKind kind, const EngineConfig& cfg,
-                               const ShardPlan& plan,
-                               YltBlockSink* sink = nullptr,
-                               bool materialize = true);
 
   /// The cached EngineContext for running `kind` (with `cfg`) against
   /// `portfolio`: the right-precision TableStore (built on first use)
@@ -344,5 +353,18 @@ class AnalysisSession {
   mutable std::mutex tables_mutex_;
   std::unordered_map<const Portfolio*, PortfolioTables> tables_;
 };
+
+/// The result tail of every execution path (the session's and the
+/// distributed coordinator's), run once `result.simulation` and
+/// `result.trials_executed` are final: the requested metrics — from
+/// `streamed_metrics` when the run streamed its blocks into a reducer,
+/// else from the resident YLT; the spill file when the request asks
+/// for one — closing `streamed_spill` when the blocks were streamed
+/// into it, else writing the resident YLT as one block; then the YLT
+/// is dropped unless the request keeps it (DESIGN.md §6).
+void finish_result(const AnalysisRequest& request, const Portfolio& portfolio,
+                   AnalysisResult& result,
+                   metrics::StreamingMetricsReducer* streamed_metrics = nullptr,
+                   io::YltChunkWriter* streamed_spill = nullptr);
 
 }  // namespace ara

@@ -92,7 +92,6 @@ void ShardMerger::add(const SimulationResult& partial) {
     merged_.ops += partial.ops;
     merged_.wall_seconds += partial.wall_seconds;
     merged_.measured_phases += partial.measured_phases;
-    sharded_simulated_ += partial.simulated_seconds;
     if (first_) {
       merged_.engine_name = partial.engine_name;
       merged_.devices = partial.devices;
@@ -121,11 +120,6 @@ std::size_t ShardMerger::merged_trials() const {
   return covered_;
 }
 
-double ShardMerger::sharded_simulated_seconds() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return sharded_simulated_;
-}
-
 SimulationResult ShardMerger::finish() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (covered_ != trial_count_) {
@@ -148,6 +142,21 @@ SimulationResult ShardMerger::finish() {
         " of " + std::to_string(trial_count_) + " trials; missing " + gaps);
   }
   return std::move(merged_);
+}
+
+void replay_accounting(const Engine& engine, const Portfolio& portfolio,
+                       const Yet& yet, std::size_t trials,
+                       SimulationResult& merged) {
+  EngineContext cost_ctx;
+  cost_ctx.cost_only = true;
+  cost_ctx.trials = TrialRange{0, trials};
+  const SimulationResult mono = engine.run(portfolio, yet, cost_ctx);
+  merged.ops = mono.ops;
+  merged.simulated_phases = mono.simulated_phases;
+  merged.simulated_seconds = mono.simulated_seconds;
+  merged.engine_name = mono.engine_name;
+  merged.devices = mono.devices;
+  merged.simd_isa = mono.simd_isa;
 }
 
 }  // namespace ara

@@ -33,25 +33,14 @@ struct ShardPlan {
     if (shard_trials == 0 || shard_trials >= total_trials) return 1;
     return (total_trials + shard_trials - 1) / shard_trials;
   }
-
-  /// The i-th shard's trial range (i < shard_count()).
-  TrialRange shard(std::size_t i) const noexcept {
-    const std::size_t size =
-        shard_trials == 0 || shard_trials >= total_trials ? total_trials
-                                                          : shard_trials;
-    TrialRange r;
-    r.begin = i * size;
-    r.end = r.begin + size < total_trials ? r.begin + size : total_trials;
-    return r;
-  }
 };
 
-/// Incremental plan extension: the contiguous shards tiling
-/// [begin, end) at `shard_trials` trials each (the last may be short;
-/// `shard_trials == 0` means one shard for the whole range). Empty for
-/// an empty range. Adaptive waves use this to extend an in-flight plan
-/// from the previous frontier to the next without re-planning the
-/// already-executed prefix.
+/// The contiguous shards tiling [begin, end) at `shard_trials` trials
+/// each (the last may be short; `shard_trials == 0` means one shard for
+/// the whole range). Empty for an empty range. A plan's shards are
+/// shard_ranges(0, total_trials, shard_trials); adaptive waves extend
+/// an in-flight plan from the previous frontier to the next without
+/// re-planning the already-executed prefix.
 std::vector<TrialRange> shard_ranges(std::size_t begin, std::size_t end,
                                      std::size_t shard_trials);
 
@@ -94,9 +83,8 @@ ShardPlan plan_shards(std::size_t total_trials, std::size_t shard_trials,
 /// phases). Simulated-time accounting is *not* summed here — per-shard
 /// simulated times include real per-shard overhead (extra kernel
 /// launches, partial-range launch shapes), so their sum is the cost of
-/// the sharded execution, not of the monolithic run. Callers that need
-/// the monolithic accounting replay it exactly with a cost-only engine
-/// run over the full range (AnalysisSession does; DESIGN.md §5).
+/// the sharded execution, not of the monolithic run. Callers replace
+/// it with the monolithic accounting through replay_accounting below.
 class ShardMerger {
  public:
   /// Shape of the full result being assembled. `sink`, when non-null,
@@ -113,10 +101,6 @@ class ShardMerger {
   /// Trials covered so far.
   std::size_t merged_trials() const;
 
-  /// Sum of the shards' own simulated seconds — the simulated cost of
-  /// executing the shards back to back (shard-overhead reporting).
-  double sharded_simulated_seconds() const;
-
   /// Moves the merged result out. Throws std::logic_error unless every
   /// trial row has been covered exactly once.
   SimulationResult finish();
@@ -128,10 +112,21 @@ class ShardMerger {
   std::size_t layer_count_ = 0;
   std::size_t trial_count_ = 0;
   std::size_t covered_ = 0;
-  double sharded_simulated_ = 0.0;
   bool first_ = true;
   YltBlockSink* sink_ = nullptr;
   bool materialize_ = true;
 };
+
+/// Gives `merged` — the merge of a sharded, adaptive or distributed
+/// run of `engine` over trials [0, trials) — the monolithic run's
+/// accounting: op counts, simulated phases and seconds, engine name,
+/// device count and SIMD ISA come from one cost-only replay of the
+/// whole range. Ops and the simulated timeline are pure functions of
+/// the workload, so the result reports bitwise what a single-process
+/// run over the same trials would have (DESIGN.md §5). The YLT and the
+/// measured wall time are left alone.
+void replay_accounting(const Engine& engine, const Portfolio& portfolio,
+                       const Yet& yet, std::size_t trials,
+                       SimulationResult& merged);
 
 }  // namespace ara

@@ -1,6 +1,7 @@
 #include "dist/coordinator.hpp"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -20,10 +21,9 @@
 #include <utility>
 
 #include "core/crc32c.hpp"
+#include "core/metrics/portfolio_rollup.hpp"
 #include "core/metrics/stopping.hpp"
-#include "core/metrics/streaming.hpp"
 #include "core/shard.hpp"
-#include "io/yet_chunk.hpp"
 #include "io/binary.hpp"
 #include "perf/stopwatch.hpp"
 #include "serve/service.hpp"
@@ -38,13 +38,6 @@ using Clock = std::chrono::steady_clock;
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
 
-std::vector<std::string> layer_labels(const Portfolio& portfolio) {
-  std::vector<std::string> labels;
-  labels.reserve(portfolio.layer_count());
-  for (const Layer& layer : portfolio.layers()) labels.push_back(layer.name);
-  return labels;
-}
-
 /// Identity of one completed range's numeric content: CRC32C over the
 /// block's two row tables. Deterministic engines make re-executions of
 /// a range byte-identical, so equal ranges with unequal identities are
@@ -54,19 +47,6 @@ std::uint32_t block_identity(const Ylt& ylt) {
                              ylt.annual_raw().size() * sizeof(double));
   return crc32c(crc, ylt.max_occurrence_raw().data(),
                 ylt.max_occurrence_raw().size() * sizeof(double));
-}
-
-/// Per-trial portfolio loss of one block, layers outer — the same
-/// association the session's adaptive loop feeds its oracle, so a
-/// distributed adaptive run observes bitwise the same sample.
-std::vector<double> portfolio_trial_sums(const Ylt& ylt) {
-  const std::size_t bt = ylt.trial_count();
-  std::vector<double> sums(bt, 0.0);
-  for (std::size_t l = 0; l < ylt.layer_count(); ++l) {
-    const double* row = ylt.layer_annual(l);
-    for (std::size_t t = 0; t < bt; ++t) sums[t] += row[t];
-  }
-  return sums;
 }
 
 ExecutionPolicy policy_for_job(const JobSpec& job) {
@@ -192,9 +172,14 @@ struct ShardCoordinator::Impl {
     const std::uint64_t end = begin + partial.ylt.trial_count();
     const std::uint32_t identity = block_identity(partial.ylt);
     // Adaptive: the oracle's sample, reduced outside the lock (it is
-    // discarded unused when the block turns out to be a duplicate).
+    // discarded unused when the block turns out to be a duplicate) —
+    // the per-trial portfolio loss the session's adaptive loop feeds
+    // its oracle, so a distributed run observes bitwise the same
+    // sample.
     std::vector<double> sums;
-    if (controller != nullptr) sums = portfolio_trial_sums(partial.ylt);
+    if (controller != nullptr) {
+      sums = metrics::portfolio_trial_losses(partial.ylt);
+    }
     {
       std::lock_guard<std::mutex> lock(mutex);
       if (!fatal.empty()) return;
@@ -421,7 +406,7 @@ struct ShardCoordinator::Impl {
       }
       if ((fds[1].revents & POLLIN) != 0 || stopping.load()) return;
       if ((fds[0].revents & POLLIN) == 0) continue;
-      const int fd = ::accept(listen_fd, nullptr, nullptr);
+      const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
       if (fd < 0) {
         if (errno == EINTR || errno == ECONNABORTED) continue;
         return;
@@ -504,12 +489,16 @@ ShardCoordinator::ShardCoordinator(DistConfig config)
     throw std::invalid_argument(
         "ShardCoordinator: job needs trial_count and layer_count");
   }
-  if (::pipe(impl_->stop_pipe) != 0) throw_errno("pipe");
+  // Every descriptor is close-on-exec: the processes that embed a
+  // coordinator fork+exec their workers, and a worker that inherited
+  // the listening socket would keep it alive after run() closes it —
+  // a late reconnect then hangs in a backlog nobody accepts from.
+  if (::pipe2(impl_->stop_pipe, O_CLOEXEC) != 0) throw_errno("pipe");
   // Bind + listen now so run() can hand the resolved endpoint to
   // workers spawned before it starts. Reuses the serve server's socket
   // recipe (poll + self-pipe; see serve/server.cpp).
   if (endpoint_.kind == serve::Endpoint::Kind::kUnix) {
-    impl_->listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    impl_->listen_fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (impl_->listen_fd < 0) throw_errno("socket(AF_UNIX)");
     ::unlink(endpoint_.path.c_str());
     sockaddr_un addr{};
@@ -521,7 +510,7 @@ ShardCoordinator::ShardCoordinator(DistConfig config)
       throw_errno("bind(" + endpoint_.describe() + ")");
     }
   } else {
-    impl_->listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    impl_->listen_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (impl_->listen_fd < 0) throw_errno("socket(AF_INET)");
     const int one = 1;
     ::setsockopt(impl_->listen_fd, SOL_SOCKET, SO_REUSEADDR, &one,
@@ -563,6 +552,12 @@ DistResult ShardCoordinator::run(const AnalysisRequest& request) {
   Impl& impl = *impl_;
   const JobSpec& job = impl.config.job;
   perf::Stopwatch wall;
+  request.metrics.validate();
+  if (request.ylt_retention == YltRetention::kSpillToFile &&
+      request.ylt_path.empty()) {
+    throw std::invalid_argument(
+        "ShardCoordinator: kSpillToFile requires ylt_path");
+  }
 
   // The coordinator needs the workload itself: for the local fallback,
   // the cost-only replay, and the metric labels. Same recipe as the
@@ -739,22 +734,9 @@ DistResult ShardCoordinator::run(const AnalysisRequest& request) {
     merged = merger->finish();
   }
 
-  // Reconstitute the monolithic accounting bitwise, exactly as the
-  // session's sharded path does (core/session.cpp run_sharded): ops
-  // and the simulated timeline are pure functions of the workload, so
-  // a cost-only replay reports what the single-process run would have.
-  // An adaptive run replays only the executed prefix — the monolithic
-  // accounting of the run that actually happened.
-  EngineContext cost_ctx;
-  cost_ctx.cost_only = true;
-  if (controller) cost_ctx.trials = TrialRange{0, executed};
-  const SimulationResult mono = engine->run(portfolio, yet, cost_ctx);
-  merged.ops = mono.ops;
-  merged.simulated_phases = mono.simulated_phases;
-  merged.simulated_seconds = mono.simulated_seconds;
-  merged.engine_name = mono.engine_name;
-  merged.devices = mono.devices;
-  merged.simd_isa = mono.simd_isa;
+  // The monolithic accounting of the trials that ran (an adaptive run's
+  // executed prefix), exactly as the session's sharded paths report it.
+  replay_accounting(*engine, portfolio, yet, executed, merged);
   merged.wall_seconds = wall.seconds();
 
   DistResult result;
@@ -771,27 +753,7 @@ DistResult ShardCoordinator::run(const AnalysisRequest& request) {
     result.analysis.stopped_early = executed < job.trial_count;
     result.analysis.half_widths = controller->statuses();
   }
-
-  request.metrics.validate();
-  if (request.metrics.any() && job.layer_count > 0) {
-    result.analysis.metrics = metrics::compute_metrics(
-        result.analysis.simulation.ylt, layer_labels(portfolio),
-        request.metrics);
-  }
-  if (request.ylt_retention == YltRetention::kSpillToFile) {
-    if (request.ylt_path.empty()) {
-      throw std::invalid_argument(
-          "ShardCoordinator: kSpillToFile requires ylt_path");
-    }
-    io::YltChunkWriter writer(request.ylt_path, job.layer_count,
-                              job.trial_count);
-    writer.append(result.analysis.simulation.ylt, 0);
-    writer.close();
-    result.analysis.ylt_path = request.ylt_path;
-  }
-  if (request.ylt_retention != YltRetention::kKeep) {
-    result.analysis.simulation.ylt = Ylt();
-  }
+  finish_result(request, portfolio, result.analysis);
   return result;
 }
 

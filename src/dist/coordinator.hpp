@@ -1,10 +1,12 @@
 // ShardCoordinator: the distributing counterpart of the session's
-// run_sharded (DESIGN.md §9). It owns a listening socket, hands
+// sharded runs (DESIGN.md §9). It owns a listening socket, hands
 // trial-range *leases* to remote ara_worker processes, folds their
 // checksummed result blocks through the same ShardMerger the local
-// path uses, and reconstitutes the monolithic run's accounting with a
-// cost-only replay — so a distributed run is bitwise identical to the
-// single-process run, including op counts and simulated seconds.
+// path uses, reconstitutes the monolithic run's accounting with the
+// same cost-only replay (replay_accounting) and finishes through the
+// session's result tail (finish_result) — so a distributed run is
+// bitwise identical to the single-process run, including op counts
+// and simulated seconds.
 //
 // Fault model (the whole point):
 //   - worker crash / disconnect  -> its open leases reassign instantly
@@ -100,9 +102,10 @@ class ShardCoordinator {
   /// Runs the distributed analysis to completion: accepts workers,
   /// leases out every trial, merges their blocks, degrades to local
   /// execution if the fleet dies, and finishes with the cost-only
-  /// replay. `request` supplies the metrics plan / retention the
-  /// merged result feeds (its workload fields are ignored — the job
-  /// defines the workload). Blocking; call once.
+  /// replay and the session's result tail. `request` supplies the
+  /// metrics plan / retention the merged result feeds (its workload
+  /// fields are ignored — the job defines the workload). Blocking;
+  /// call once.
   DistResult run(const AnalysisRequest& request);
 
  private:

@@ -1,5 +1,6 @@
 #include "io/binary.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -69,6 +70,52 @@ void write_terms(std::ostream& os, const FinancialTerms& t) {
   write_pod(os, t.share);
 }
 
+// Where the stream ends, as an offset from its start; the maximum
+// when the stream cannot tell (then nothing is bounded up front and a
+// short stream still fails per record as truncated). Taken once per
+// decoder call, so the bound costs no per-record work.
+std::uint64_t stream_end(std::istream& is) {
+  const std::istream::pos_type at = is.tellg();
+  if (at == std::istream::pos_type(-1)) {
+    return std::numeric_limits<std::uint64_t>::max();
+  }
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.clear();
+  is.seekg(at);
+  if (end == std::istream::pos_type(-1)) {
+    return std::numeric_limits<std::uint64_t>::max();
+  }
+  return static_cast<std::uint64_t>(end);
+}
+
+// Rejects a header count before it sizes an allocation: `count`
+// records of at least `record_bytes` each must fit between the read
+// position and `end`. A corrupt or hostile header would otherwise
+// reserve up to 2^64 records before the first read could fail.
+void check_count(std::istream& is, std::uint64_t end, std::uint64_t count,
+                 std::uint64_t record_bytes, const char* what) {
+  const std::istream::pos_type at = is.tellg();
+  if (at == std::istream::pos_type(-1)) return;
+  const auto pos = static_cast<std::uint64_t>(at);
+  const std::uint64_t left = end > pos ? end - pos : 0;
+  if (count > left / record_bytes) {
+    throw std::runtime_error("binary read: " + std::string(what) + " count " +
+                             std::to_string(count) + " exceeds the " +
+                             std::to_string(left) +
+                             " bytes left in the stream");
+  }
+}
+
+// On-disk record sizes (lower bounds for the variable-length ones).
+constexpr std::uint64_t kOccurrenceBytes = sizeof(EventId) + sizeof(Timestamp);
+constexpr std::uint64_t kEltRecordBytes = sizeof(EventId) + sizeof(double);
+constexpr std::uint64_t kEltHeaderBytes =
+    8 + sizeof(std::uint32_t) + sizeof(EventId) + 4 * sizeof(double) +
+    sizeof(std::uint64_t);
+constexpr std::uint64_t kLayerMinBytes =
+    2 * sizeof(std::uint64_t) + 4 * sizeof(double);
+
 FinancialTerms read_terms(std::istream& is) {
   FinancialTerms t;
   t.fx_rate = read_pod<double>(is);
@@ -99,6 +146,12 @@ Yet read_yet(std::istream& is) {
   const auto catalogue = read_pod<EventId>(is);
   const auto trials = read_pod<std::uint64_t>(is);
   const auto occurrences = read_pod<std::uint64_t>(is);
+  const std::uint64_t end = stream_end(is);
+  // trials + 1 offsets, then the occurrences after them.
+  check_count(is, end, trials, sizeof(std::uint64_t), "YET trial");
+  const std::uint64_t offset_bytes = (trials + 1) * sizeof(std::uint64_t);
+  check_count(is, end - std::min(end, offset_bytes), occurrences,
+              kOccurrenceBytes, "YET occurrence");
   std::vector<std::size_t> offsets;
   offsets.reserve(trials + 1);
   for (std::uint64_t i = 0; i <= trials; ++i) {
@@ -126,11 +179,14 @@ void write_elt(std::ostream& os, const Elt& elt) {
   }
 }
 
-Elt read_elt(std::istream& is) {
+namespace {
+
+Elt read_elt_within(std::istream& is, std::uint64_t end) {
   check_magic(is, kEltMagic, "ELT");
   const auto catalogue = read_pod<EventId>(is);
   const FinancialTerms terms = read_terms(is);
   const auto n = read_pod<std::uint64_t>(is);
+  check_count(is, end, n, kEltRecordBytes, "ELT record");
   std::vector<EventLoss> records;
   records.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -141,6 +197,10 @@ Elt read_elt(std::istream& is) {
   }
   return Elt(std::move(records), terms, catalogue);
 }
+
+}  // namespace
+
+Elt read_elt(std::istream& is) { return read_elt_within(is, stream_end(is)); }
 
 void write_portfolio(std::ostream& os, const Portfolio& portfolio) {
   write_magic(os, kPortMagic);
@@ -162,19 +222,23 @@ void write_portfolio(std::ostream& os, const Portfolio& portfolio) {
 
 Portfolio read_portfolio(std::istream& is) {
   check_magic(is, kPortMagic, "portfolio");
+  const std::uint64_t end = stream_end(is);
   const auto elt_count = read_pod<std::uint64_t>(is);
+  check_count(is, end, elt_count, kEltHeaderBytes, "portfolio ELT");
   std::vector<Elt> elts;
   elts.reserve(elt_count);
   for (std::uint64_t i = 0; i < elt_count; ++i) {
-    elts.push_back(read_elt(is));
+    elts.push_back(read_elt_within(is, end));
   }
   const auto layer_count = read_pod<std::uint64_t>(is);
+  check_count(is, end, layer_count, kLayerMinBytes, "portfolio layer");
   std::vector<Layer> layers;
   layers.reserve(layer_count);
   for (std::uint64_t i = 0; i < layer_count; ++i) {
     Layer l;
     l.name = read_string(is);
     const auto n = read_pod<std::uint64_t>(is);
+    check_count(is, end, n, sizeof(std::uint64_t), "layer ELT index");
     l.elt_indices.reserve(n);
     for (std::uint64_t j = 0; j < n; ++j) {
       l.elt_indices.push_back(
@@ -231,13 +295,21 @@ Ylt read_ylt(std::istream& is) {
   }
   const auto layers = read_pod<std::uint64_t>(is);
   const auto trials = read_pod<std::uint64_t>(is);
+  if (layers > 0) {
+    // Two tables of layers x trials doubles follow.
+    const std::uint64_t end = stream_end(is);
+    check_count(is, end, trials, 2 * sizeof(double), "YLT trial");
+    check_count(is, end, layers,
+                2 * sizeof(double) * std::max<std::uint64_t>(trials, 1),
+                "YLT layer");
+  }
   Ylt ylt(static_cast<std::size_t>(layers), static_cast<std::size_t>(trials));
   // Buffered per-layer rows: one read call per (table, layer) instead
   // of one per double; the on-disk layout is unchanged. Row CRCs are
   // accumulated on the way through and checked against the v2 trailer
   // after both tables, so a flipped bit anywhere in the data fails the
   // load naming the offending row.
-  std::vector<double> row(trials);
+  std::vector<double> row(layers > 0 ? trials : 0);
   std::vector<std::uint32_t> row_crcs;
   row_crcs.reserve(2 * layers);
   const auto read_row = [&](auto&& assign) {

@@ -5,8 +5,7 @@
 
 namespace ara::simgpu {
 
-SimPlatform::SimPlatform(const DeviceSpec& spec, std::size_t count)
-    : pool_(count) {
+SimPlatform::SimPlatform(const DeviceSpec& spec, std::size_t count) {
   if (count == 0) {
     throw std::invalid_argument("SimPlatform: at least one device required");
   }
@@ -16,8 +15,7 @@ SimPlatform::SimPlatform(const DeviceSpec& spec, std::size_t count)
   }
 }
 
-SimPlatform::SimPlatform(std::vector<DeviceSpec> specs)
-    : pool_(specs.size()) {
+SimPlatform::SimPlatform(std::vector<DeviceSpec> specs) {
   if (specs.empty()) {
     throw std::invalid_argument("SimPlatform: at least one device required");
   }
@@ -29,10 +27,11 @@ SimPlatform::SimPlatform(std::vector<DeviceSpec> specs)
 
 void SimPlatform::for_each_device(
     const std::function<void(std::size_t)>& work) {
+  if (!pool_) pool_ = std::make_unique<parallel::ThreadPool>(devices_.size());
   for (std::size_t i = 0; i < devices_.size(); ++i) {
-    pool_.submit([&work, i] { work(i); });
+    pool_->submit([&work, i] { work(i); });
   }
-  pool_.wait_idle();
+  pool_->wait_idle();
 }
 
 double SimPlatform::elapsed_seconds() const {

@@ -2,7 +2,9 @@
 // paper's multiple-GPU machine (4x Tesla M2090 driven by one CPU
 // thread per GPU). The platform dispatches per-device work through a
 // host thread pool — functionally concurrent, exactly as the paper's
-// CPU threads invoke and manage one GPU each — and the platform-level
+// CPU threads invoke and manage one GPU each; the pool is built on the
+// first dispatch, so a platform whose devices are only driven inline
+// (a cost-only replay) spawns no threads — and the platform-level
 // simulated time is the maximum over the devices' serialised
 // timelines (devices run in parallel with each other).
 #pragma once
@@ -32,7 +34,7 @@ class SimPlatform {
 
   /// Runs `work(device_index)` for every device on the host thread
   /// pool (one CPU thread drives one GPU, as in the paper) and blocks
-  /// until all complete.
+  /// until all complete. Not thread-safe: one caller drives a platform.
   void for_each_device(const std::function<void(std::size_t)>& work);
 
   /// Platform simulated time: max over device timelines (devices
@@ -52,7 +54,7 @@ class SimPlatform {
 
  private:
   std::vector<std::unique_ptr<SimDevice>> devices_;
-  parallel::ThreadPool pool_;
+  std::unique_ptr<parallel::ThreadPool> pool_;  ///< built on first dispatch
 };
 
 }  // namespace ara::simgpu

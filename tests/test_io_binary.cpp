@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
@@ -178,6 +179,68 @@ TEST(BinaryIo, YltVersionOneFilesStillLoad) {
   const Ylt loaded = read_ylt(v1);
   EXPECT_EQ(loaded.annual_raw(), ylt.annual_raw());
   EXPECT_EQ(loaded.max_occurrence_raw(), ylt.max_occurrence_raw());
+}
+
+// A header count the remaining bytes cannot hold fails before it sizes
+// an allocation: each decoder gets a well-formed file whose count field
+// claims 2^50 records — at 8+ bytes a record, an allocation of
+// petabytes.
+TEST(BinaryIo, InflatedHeaderCountsFailBeforeAllocating) {
+  const auto inflated = [](const std::string& bytes, std::size_t offset) {
+    std::string patched = bytes;
+    const std::uint64_t huge = std::uint64_t{1} << 50;
+    std::memcpy(patched.data() + offset, &huge, sizeof(huge));
+    return patched;
+  };
+  const auto bytes_of = [](const auto& write) {
+    std::ostringstream os;
+    write(os);
+    return os.str();
+  };
+  const synth::Scenario s = synth::tiny(8, 4);
+  // Header layouts: 8-byte magic, 4-byte version, then the fields.
+  const std::string yet =
+      bytes_of([&](std::ostream& os) { write_yet(os, s.yet); });
+  const std::string elt = bytes_of(
+      [&](std::ostream& os) { write_elt(os, s.portfolio.elts()[0]); });
+  const std::string portfolio =
+      bytes_of([&](std::ostream& os) { write_portfolio(os, s.portfolio); });
+  const std::string ylt =
+      bytes_of([&](std::ostream& os) { write_ylt(os, Ylt(2, 8)); });
+  std::size_t layer_count_at = 12 + 8;
+  for (const Elt& e : s.portfolio.elts()) {
+    layer_count_at += bytes_of([&](std::ostream& os) { write_elt(os, e); })
+                          .size();
+  }
+
+  const auto expect_rejected = [](const std::string& bytes, auto read,
+                                   const char* what) {
+    std::istringstream is(bytes);
+    try {
+      read(is);
+      ADD_FAILURE() << what << ": inflated count accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("bytes left in the stream"),
+                std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  const auto yet_reader = [](std::istream& is) { return read_yet(is); };
+  const auto elt_reader = [](std::istream& is) { return read_elt(is); };
+  const auto portfolio_reader = [](std::istream& is) {
+    return read_portfolio(is);
+  };
+  const auto ylt_reader = [](std::istream& is) { return read_ylt(is); };
+  expect_rejected(inflated(yet, 16), yet_reader, "YET trials");
+  expect_rejected(inflated(yet, 24), yet_reader, "YET occurrences");
+  expect_rejected(inflated(elt, 48), elt_reader, "ELT records");
+  expect_rejected(inflated(portfolio, 12), portfolio_reader, "portfolio ELTs");
+  expect_rejected(inflated(portfolio, 12 + 8 + 48), portfolio_reader,
+                  "portfolio ELT records");
+  expect_rejected(inflated(portfolio, layer_count_at), portfolio_reader,
+                  "portfolio layers");
+  expect_rejected(inflated(ylt, 12), ylt_reader, "YLT layers");
+  expect_rejected(inflated(ylt, 20), ylt_reader, "YLT trials");
 }
 
 TEST(BinaryIo, AnalysisReproducibleFromSavedInputs) {

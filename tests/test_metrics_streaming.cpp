@@ -395,18 +395,8 @@ TEST(StreamedMetrics, MetricsForLooksUpByLayerName) {
   EXPECT_EQ(result.metrics_for("no_such_layer"), nullptr);
 }
 
-// (h) Legacy shims map onto the spec exactly.
-TEST(StreamedMetrics, SelectionShimsMatchPresets) {
-  const MetricsSpec from_all =
-      MetricsSpec::from_selection(MetricsSelection::all());
-  EXPECT_TRUE(from_all.per_layer);
-  EXPECT_TRUE(from_all.portfolio);
-  EXPECT_TRUE(from_all.capital_allocation);
-
-  const MetricsSpec from_none =
-      MetricsSpec::from_selection(MetricsSelection::none());
-  EXPECT_FALSE(from_none.any());
-
+// (h) The presets select their scopes.
+TEST(StreamedMetrics, PresetsSelectTheirScopes) {
   EXPECT_TRUE(MetricsSpec::layer_summaries().per_layer);
   EXPECT_FALSE(MetricsSpec::layer_summaries().portfolio);
   EXPECT_TRUE(MetricsSpec::portfolio_rollup().portfolio);

@@ -178,25 +178,82 @@ TEST(SessionAuto, PredictionsReproducePaperRanking) {
   EXPECT_LT(t_mc, t_seq);
 }
 
-// A prediction is the engine's simulated time computed without
-// executing: running the predicted kind must report (almost) exactly
-// the predicted simulated seconds.
+// A prediction is the engine's own cost-only run: running the
+// predicted kind must report exactly the predicted simulated seconds,
+// on a multi-layer book and on the paper's single-layer shape, and an
+// auto-selected run must report the prediction it was chosen by.
 TEST(SessionAuto, PredictionMatchesEngineSimulatedTime) {
-  const synth::Scenario s = synth::multi_layer_book(3, 150, 5);
-  AnalysisSession session;
-  const std::vector<EnginePrediction> predictions =
-      session.predict(s.portfolio, s.yet);
+  for (const synth::Scenario& s : {synth::multi_layer_book(3, 150, 5),
+                                   synth::paper_scaled(20000, 33)}) {
+    AnalysisSession session;
+    const std::vector<EnginePrediction> predictions =
+        session.predict(s.portfolio, s.yet);
 
-  for (const EnginePrediction& p : predictions) {
-    if (!p.feasible) continue;
+    for (const EnginePrediction& p : predictions) {
+      if (!p.feasible) continue;
+      AnalysisRequest request;
+      request.portfolio = &s.portfolio;
+      request.yet = &s.yet;
+      request.policy = ExecutionPolicy::with_engine(p.kind);
+      const AnalysisResult result = session.run(request);
+      EXPECT_EQ(result.simulation.simulated_seconds, p.seconds)
+          << engine_kind_name(p.kind);
+    }
+
     AnalysisRequest request;
     request.portfolio = &s.portfolio;
     request.yet = &s.yet;
-    request.policy = ExecutionPolicy::with_engine(p.kind);
+    request.policy = ExecutionPolicy::auto_select();
     const AnalysisResult result = session.run(request);
-    EXPECT_NEAR(result.simulation.simulated_seconds, p.seconds,
-                1e-6 * p.seconds)
-        << engine_kind_name(p.kind);
+    ASSERT_TRUE(result.auto_selected);
+    EXPECT_EQ(result.predicted_seconds, result.simulation.simulated_seconds);
+  }
+}
+
+// A kind whose run would throw is predicted infeasible with the reason
+// as its note, and kAuto routes around it.
+TEST(SessionAuto, InfeasibleKindsCarryANoteAndAreSkipped) {
+  const synth::Scenario s = synth::multi_layer_book(3, 150, 5);
+  AnalysisSession session;
+  const auto feasible = [&](const ExecutionPolicy& policy, EngineKind kind) {
+    for (const EnginePrediction& p : session.predict(s.portfolio, s.yet,
+                                                     policy)) {
+      if (p.kind != kind) continue;
+      EXPECT_EQ(p.feasible, p.note.empty()) << engine_kind_name(kind);
+      return p.feasible;
+    }
+    ADD_FAILURE() << "missing prediction for " << engine_kind_name(kind);
+    return false;
+  };
+  const auto is_gpu = [](EngineKind kind) {
+    return kind == EngineKind::kGpuBasic ||
+           kind == EngineKind::kGpuOptimized || kind == EngineKind::kMultiGpu;
+  };
+
+  // Devices too small for the inputs: every GPU kind is out.
+  ExecutionPolicy tiny_devices = ExecutionPolicy::auto_select();
+  tiny_devices.gpu_device.global_mem_bytes = 1000;
+  tiny_devices.multi_gpu_device.global_mem_bytes = 1000;
+  for (const EngineKind kind : all_engine_kinds()) {
+    EXPECT_EQ(feasible(tiny_devices, kind), !is_gpu(kind))
+        << engine_kind_name(kind);
+  }
+  AnalysisRequest request;
+  request.portfolio = &s.portfolio;
+  request.yet = &s.yet;
+  request.policy = tiny_devices;
+  const AnalysisResult result = session.run(request);
+  ASSERT_TRUE(result.engine.has_value());
+  EXPECT_TRUE(result.auto_selected);
+  EXPECT_FALSE(is_gpu(*result.engine)) << engine_kind_name(*result.engine);
+  EXPECT_EQ(result.predicted_seconds, result.simulation.simulated_seconds);
+
+  // No GPUs on the multi-GPU platform: only that kind is out.
+  ExecutionPolicy no_gpus = ExecutionPolicy::auto_select();
+  no_gpus.gpu_count = 0;
+  for (const EngineKind kind : all_engine_kinds()) {
+    EXPECT_EQ(feasible(no_gpus, kind), kind != EngineKind::kMultiGpu)
+        << engine_kind_name(kind);
   }
 }
 
@@ -321,8 +378,7 @@ TEST(SessionBatch, SharedYetBatchWithExtensionsUsesTableCache) {
     r.label = "book_" + std::to_string(i);
     r.portfolio = &books[i];
     r.yet = &s.yet;
-    // Exercises the legacy-selection shim deliberately.
-    r.metrics = MetricsSpec::from_selection(MetricsSelection::all());
+    r.metrics = MetricsSpec::all();
     r.reinstatement_terms.assign(books[i].layer_count(), terms);
     requests.push_back(std::move(r));
   }

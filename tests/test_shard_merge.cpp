@@ -23,12 +23,11 @@ namespace {
 std::vector<SimulationResult> make_partials(const synth::Scenario& s,
                                             std::size_t shard_trials) {
   const FusedSequentialEngine engine;
-  const ShardPlan plan{s.yet.trial_count(), shard_trials};
   std::vector<SimulationResult> partials;
-  partials.reserve(plan.shard_count());
-  for (std::size_t i = 0; i < plan.shard_count(); ++i) {
+  for (const TrialRange& r : shard_ranges(0, s.yet.trial_count(),
+                                          shard_trials)) {
     EngineContext ctx;
-    ctx.trials = plan.shard(i);
+    ctx.trials = r;
     partials.push_back(engine.run(s.portfolio, s.yet, ctx));
   }
   return partials;
@@ -46,10 +45,13 @@ TEST(ShardPlanArithmetic, CoversEveryTrialExactlyOnce) {
   for (const std::size_t total : {0u, 1u, 7u, 26u, 100u}) {
     for (const std::size_t shard : {1u, 3u, 7u, 26u, 101u}) {
       const ShardPlan plan{total, shard};
+      const std::vector<TrialRange> ranges = shard_ranges(0, total, shard);
+      // An empty workload is still one (empty) monolithic shard.
+      EXPECT_EQ(std::max<std::size_t>(ranges.size(), 1), plan.shard_count())
+          << total << "/" << shard;
       std::size_t covered = 0;
       std::size_t expected_begin = 0;
-      for (std::size_t i = 0; i < plan.shard_count(); ++i) {
-        const TrialRange r = plan.shard(i);
+      for (const TrialRange& r : ranges) {
         EXPECT_EQ(r.begin, expected_begin);
         EXPECT_LE(r.end, total);
         covered += r.size();

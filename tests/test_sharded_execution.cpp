@@ -253,8 +253,10 @@ TEST(ShardedExecution, EnginePartialRunsMatchMonolithicRows) {
 // A worker that dies mid-shard must surface through the caller's
 // future as an error naming the trial range it was running, not as an
 // anonymous pool failure (the batch caller needs to know WHICH slice
-// of the workload is missing). Forced via the shard.worker_throw
-// failpoint; skipped when failpoints are compiled out (Release).
+// of the workload is missing). Fixed, adaptive and race runs share the
+// shard dispatch, so all three name the range. Forced via the
+// shard.worker_throw failpoint; skipped when failpoints are compiled
+// out (Release).
 TEST(ShardedExecution, WorkerFailureNamesTheShardRange) {
   if (!fail::compiled_in()) {
     GTEST_SKIP() << "failpoints compiled out";
@@ -264,21 +266,42 @@ TEST(ShardedExecution, WorkerFailureNamesTheShardRange) {
   AnalysisRequest request = request_for(s.portfolio, s.yet);
   request.policy = sharded_policy(EngineKind::kSequentialFused, 7);
 
-  fail::Registry::instance().arm("shard.worker_throw", 1.0, /*seed=*/1,
-                                 /*value=*/0.0, /*max_fires=*/1);
-  try {
-    std::vector<AnalysisRequest> batch{request};
-    auto futures = session.run_batch_async(batch);
-    futures[0].get();
-    FAIL() << "injected worker fault did not surface";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("shard ["), std::string::npos) << what;
-    EXPECT_NE(what.find(") failed: injected shard worker fault"),
-              std::string::npos)
-        << what;
-  }
-  fail::Registry::instance().disarm_all();
+  const auto expect_shard_named = [](const auto& run, const char* what) {
+    fail::Registry::instance().arm("shard.worker_throw", 1.0, /*seed=*/1,
+                                   /*value=*/0.0, /*max_fires=*/1);
+    try {
+      run();
+      ADD_FAILURE() << what << ": injected worker fault did not surface";
+    } catch (const std::runtime_error& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("shard ["), std::string::npos)
+          << what << ": " << message;
+      EXPECT_NE(message.find(") failed: injected shard worker fault"),
+                std::string::npos)
+          << what << ": " << message;
+    }
+    fail::Registry::instance().disarm_all();
+  };
+
+  expect_shard_named(
+      [&] {
+        std::vector<AnalysisRequest> batch{request};
+        auto futures = session.run_batch_async(batch);
+        futures[0].get();
+      },
+      "fixed");
+
+  AnalysisRequest adaptive = request;
+  adaptive.stopping.emplace();
+  adaptive.stopping->min_trials = 7;
+  expect_shard_named([&] { session.run(adaptive); }, "adaptive");
+
+  const std::vector<RaceEntry> entries{{"a", &s.portfolio},
+                                       {"b", &s.portfolio}};
+  RaceSpec race;
+  race.min_trials = 7;
+  race.policy = sharded_policy(EngineKind::kSequentialFused, 7);
+  expect_shard_named([&] { session.race(entries, s.yet, race); }, "race");
 
   // The session is not poisoned: the same request succeeds afterwards
   // and still matches the monolithic run bitwise.

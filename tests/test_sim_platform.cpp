@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <stdexcept>
 
 namespace ara::simgpu {
@@ -35,6 +36,33 @@ TEST(SimPlatform, ForEachDeviceVisitsAllOnce) {
   for (const auto& v : visits) {
     EXPECT_EQ(v.load(), 1);
   }
+}
+
+// The host threads that drive the devices exist only once work is
+// dispatched: a platform whose devices are driven inline (a cost-only
+// replay, which kAuto's predict runs for every kind) spawns none.
+TEST(SimPlatform, ThreadsAreSpawnedOnlyByDispatch) {
+  const auto threads = [] {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      ++n;
+    }
+    return n;
+  };
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task on this platform";
+  }
+  // Inequalities, not counts: a thread an earlier test joined may
+  // still be listed for a moment, and only ever disappears.
+  const std::size_t before = threads();
+  SimPlatform platform(tesla_m2090(), 4);
+  for (std::size_t d = 0; d < platform.device_count(); ++d) {
+    platform.device(d).alloc(1);
+  }
+  EXPECT_LE(threads(), before);
+  platform.for_each_device([](std::size_t) {});
+  EXPECT_GT(threads(), before);
 }
 
 TEST(SimPlatform, ElapsedIsMaxOverDevices) {

@@ -71,6 +71,7 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -296,6 +297,11 @@ std::vector<double> parse_doubles(const std::string& csv,
 int cmd_generate(const std::map<std::string, std::string>& flags) {
   const std::string out = get(flags, "out", "");
   if (out.empty()) usage("generate requires --out DIR");
+  // Checked before generating: a bad path must not cost the whole
+  // generation before the first save fails.
+  if (!std::filesystem::is_directory(out)) {
+    usage("generate --out must be an existing directory: " + out);
+  }
 
   const auto trials = static_cast<std::size_t>(get_long(flags, "trials", 10000));
   const double events = static_cast<double>(
