@@ -18,20 +18,53 @@ namespace {
 // or reordering targets never perturbs another target's resamples.
 constexpr std::uint64_t kTargetStride = 0x9e3779b97f4a7c15ULL;
 
-double tvar_from_sorted(const std::vector<double>& sorted, double p) {
+// Index of the lower order statistic of the type-7 p-quantile, the
+// one quantile_sorted interpolates from.
+std::size_t quantile_lo(std::size_t n, double p) {
+  return static_cast<std::size_t>(p * (static_cast<double>(n) - 1.0));
+}
+
+// Orders `xs` just enough for the kVar/kTvar estimates: the order
+// statistic at quantile_lo lands in place with everything before it no
+// larger, and the tail from there on is sorted ascending. A fully
+// sorted array already satisfies this.
+void order_tail(std::vector<double>& xs, double p) {
+  const auto lo = xs.begin() +
+                  static_cast<std::ptrdiff_t>(quantile_lo(xs.size(), p));
+  std::nth_element(xs.begin(), lo, xs.end());
+  std::sort(lo, xs.end());
+}
+
+double tvar_from_tail(const std::vector<double>& xs, double p) {
   // Mean of the upper tail {x : x >= VaR_p}, VaR_p the type-7
   // p-quantile — consistent with quantile()'s interpolation in that
-  // the tail always contains at least one observation.
-  const double var = quantile_sorted(sorted, p);
-  const auto first =
-      std::lower_bound(sorted.begin(), sorted.end(), var);
-  const std::size_t tail = static_cast<std::size_t>(sorted.end() - first);
-  if (tail == 0) return sorted.back();
+  // the tail always contains at least one observation. `xs` is ordered
+  // as order_tail leaves it, and the sum runs in ascending order as
+  // over a full sort: entries before lo are no larger than xs[lo] <=
+  // VaR, so those equal to VaR (possible only when VaR == xs[lo]) open
+  // the tail, ahead of the sorted run from lower_bound on.
+  const double var = quantile_sorted(xs, p);
+  const std::size_t lo = quantile_lo(xs.size(), p);
   double sum = 0.0;
-  for (auto it = first; it != sorted.end(); ++it) sum += *it;
+  std::size_t tail = 0;
+  for (std::size_t i = 0; i < lo; ++i) {
+    if (xs[i] == var) {
+      sum += xs[i];
+      ++tail;
+    }
+  }
+  const auto lo_it = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+  for (auto it = std::lower_bound(lo_it, xs.end(), var); it != xs.end();
+       ++it) {
+    sum += *it;
+    ++tail;
+  }
+  if (tail == 0) return xs.back();
   return sum / static_cast<double>(tail);
 }
 
+// `sorted` is fully sorted for kAal (the sum runs in sorted order) and
+// ordered at least as order_tail leaves it for kVar/kTvar.
 double point_estimate(const StoppingTarget& target,
                       const std::vector<double>& sorted) {
   switch (target.metric) {
@@ -43,7 +76,7 @@ double point_estimate(const StoppingTarget& target,
     case StopMetric::kVar:
       return quantile_sorted(sorted, target.p);
     case StopMetric::kTvar:
-      return tvar_from_sorted(sorted, target.p);
+      return tvar_from_tail(sorted, target.p);
   }
   throw std::logic_error("stopping: unknown metric");
 }
@@ -160,7 +193,9 @@ TargetStatus evaluate_target(const StoppingTarget& target,
     // Bootstrap SE, same estimator shape as quantile_convergence:
     // resample-with-replacement, rep-variance with the reps/(reps-1)
     // correction. Seeded by sample size so any evaluation of the same
-    // prefix reproduces bitwise.
+    // prefix reproduces bitwise. Each resample is ordered only from the
+    // quantile up (order_tail), which yields the same bits as a full
+    // sort at a fraction of its cost.
     synth::Xoshiro256StarStar rng(synth::substream(seed, n));
     double sum = 0.0, sum2 = 0.0;
     std::vector<double> resample(n);
@@ -168,7 +203,7 @@ TargetStatus evaluate_target(const StoppingTarget& target,
       for (std::size_t i = 0; i < n; ++i) {
         resample[i] = losses[static_cast<std::size_t>(rng.next_below(n))];
       }
-      std::sort(resample.begin(), resample.end());
+      order_tail(resample, target.p);
       const double q = point_estimate(target, resample);
       sum += q;
       sum2 += q * q;

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <stdexcept>
 #include <vector>
@@ -16,10 +15,14 @@ namespace ara::io {
 
 namespace {
 
+using format::check_count;
 using format::kEltMagic;
-using format::kYetMagic;
 using format::kYltMagic;
+using format::read_bytes;
+using format::read_records;
+using format::stream_end;
 using format::write_pod;
+using format::write_records;
 constexpr const char (&kPortMagic)[8] = format::kPortfolioMagic;
 
 template <typename T>
@@ -58,8 +61,7 @@ std::string read_string(std::istream& is) {
     throw std::runtime_error("binary read: implausible string length");
   }
   std::string s(n, '\0');
-  is.read(s.data(), static_cast<std::streamsize>(n));
-  if (!is) throw std::runtime_error("binary read: truncated string");
+  read_bytes(is, s.data(), n, "string");
   return s;
 }
 
@@ -70,46 +72,14 @@ void write_terms(std::ostream& os, const FinancialTerms& t) {
   write_pod(os, t.share);
 }
 
-// Where the stream ends, as an offset from its start; the maximum
-// when the stream cannot tell (then nothing is bounded up front and a
-// short stream still fails per record as truncated). Taken once per
-// decoder call, so the bound costs no per-record work.
-std::uint64_t stream_end(std::istream& is) {
-  const std::istream::pos_type at = is.tellg();
-  if (at == std::istream::pos_type(-1)) {
-    return std::numeric_limits<std::uint64_t>::max();
-  }
-  is.seekg(0, std::ios::end);
-  const std::istream::pos_type end = is.tellg();
-  is.clear();
-  is.seekg(at);
-  if (end == std::istream::pos_type(-1)) {
-    return std::numeric_limits<std::uint64_t>::max();
-  }
-  return static_cast<std::uint64_t>(end);
-}
-
-// Rejects a header count before it sizes an allocation: `count`
-// records of at least `record_bytes` each must fit between the read
-// position and `end`. A corrupt or hostile header would otherwise
-// reserve up to 2^64 records before the first read could fail.
-void check_count(std::istream& is, std::uint64_t end, std::uint64_t count,
-                 std::uint64_t record_bytes, const char* what) {
-  const std::istream::pos_type at = is.tellg();
-  if (at == std::istream::pos_type(-1)) return;
-  const auto pos = static_cast<std::uint64_t>(at);
-  const std::uint64_t left = end > pos ? end - pos : 0;
-  if (count > left / record_bytes) {
-    throw std::runtime_error("binary read: " + std::string(what) + " count " +
-                             std::to_string(count) + " exceeds the " +
-                             std::to_string(left) +
-                             " bytes left in the stream");
-  }
-}
-
 // On-disk record sizes (lower bounds for the variable-length ones).
-constexpr std::uint64_t kOccurrenceBytes = sizeof(EventId) + sizeof(Timestamp);
 constexpr std::uint64_t kEltRecordBytes = sizeof(EventId) + sizeof(double);
+// ELT records are 12 bytes on disk (u32 event, f64 loss) but 16 in
+// memory (EventLoss is padded), so both codecs pass them through a
+// fixed 4 KiB staging block of whole records on the stack: it adds
+// nothing to the heap, and one stream call per 341 records already
+// costs nothing next to the per-field calls it replaces.
+constexpr std::size_t kEltBlockRecords = 4096 / kEltRecordBytes;
 constexpr std::uint64_t kEltHeaderBytes =
     8 + sizeof(std::uint32_t) + sizeof(EventId) + 4 * sizeof(double) +
     sizeof(std::uint64_t);
@@ -128,44 +98,29 @@ FinancialTerms read_terms(std::istream& is) {
 }  // namespace
 
 void write_yet(std::ostream& os, const Yet& yet) {
-  write_magic(os, kYetMagic);
+  write_magic(os, format::kYetMagic);
   write_pod(os, yet.catalogue_size());
   write_pod(os, static_cast<std::uint64_t>(yet.trial_count()));
   write_pod(os, static_cast<std::uint64_t>(yet.occurrence_count()));
-  for (const std::size_t off : yet.offsets()) {
-    write_pod(os, static_cast<std::uint64_t>(off));
-  }
-  for (const EventOccurrence& o : yet.occurrences()) {
-    write_pod(os, o.event);
-    write_pod(os, o.time);
-  }
+  write_records(os, yet.offsets());
+  write_records(os, yet.occurrences());
 }
 
 Yet read_yet(std::istream& is) {
-  check_magic(is, kYetMagic, "YET");
-  const auto catalogue = read_pod<EventId>(is);
-  const auto trials = read_pod<std::uint64_t>(is);
-  const auto occurrences = read_pod<std::uint64_t>(is);
-  const std::uint64_t end = stream_end(is);
-  // trials + 1 offsets, then the occurrences after them.
-  check_count(is, end, trials, sizeof(std::uint64_t), "YET trial");
-  const std::uint64_t offset_bytes = (trials + 1) * sizeof(std::uint64_t);
-  check_count(is, end - std::min(end, offset_bytes), occurrences,
-              kOccurrenceBytes, "YET occurrence");
-  std::vector<std::size_t> offsets;
-  offsets.reserve(trials + 1);
-  for (std::uint64_t i = 0; i <= trials; ++i) {
-    offsets.push_back(static_cast<std::size_t>(read_pod<std::uint64_t>(is)));
+  const format::YetHeader h = format::read_yet_header(is);
+  if (h.compressed) {
+    throw std::runtime_error(
+        "binary read: YET is in the compressed format (read_yet_compressed)");
   }
-  std::vector<EventOccurrence> occ;
-  occ.reserve(occurrences);
-  for (std::uint64_t i = 0; i < occurrences; ++i) {
-    EventOccurrence o;
-    o.event = read_pod<EventId>(is);
-    o.time = read_pod<Timestamp>(is);
-    occ.push_back(o);
-  }
-  return Yet(std::move(occ), std::move(offsets), catalogue);
+  // Both arrays are bounded before either is allocated: the trials by
+  // the header parse, the occurrences here, after the offset index.
+  check_count(is, h.end, h.occurrences, sizeof(EventOccurrence),
+              "YET occurrence", (h.trials + 1) * sizeof(std::uint64_t));
+  auto offsets = read_records<std::size_t>(is, h.end, h.trials + 1,
+                                           "YET offsets");
+  auto occ = read_records<EventOccurrence>(is, h.end, h.occurrences,
+                                           "YET occurrences");
+  return Yet(std::move(occ), std::move(offsets), h.catalogue);
 }
 
 void write_elt(std::ostream& os, const Elt& elt) {
@@ -173,9 +128,16 @@ void write_elt(std::ostream& os, const Elt& elt) {
   write_pod(os, elt.catalogue_size());
   write_terms(os, elt.terms());
   write_pod(os, static_cast<std::uint64_t>(elt.size()));
-  for (const EventLoss& r : elt.records()) {
-    write_pod(os, r.event);
-    write_pod(os, r.loss);
+  const std::vector<EventLoss>& records = elt.records();
+  char block[kEltBlockRecords * kEltRecordBytes];
+  for (std::size_t at = 0; at < records.size(); at += kEltBlockRecords) {
+    const std::size_t n = std::min(records.size() - at, kEltBlockRecords);
+    char* p = block;
+    for (std::size_t i = at; i < at + n; ++i, p += kEltRecordBytes) {
+      std::memcpy(p, &records[i].event, sizeof(EventId));
+      std::memcpy(p + sizeof(EventId), &records[i].loss, sizeof(double));
+    }
+    os.write(block, static_cast<std::streamsize>(n * kEltRecordBytes));
   }
 }
 
@@ -187,13 +149,22 @@ Elt read_elt_within(std::istream& is, std::uint64_t end) {
   const FinancialTerms terms = read_terms(is);
   const auto n = read_pod<std::uint64_t>(is);
   check_count(is, end, n, kEltRecordBytes, "ELT record");
+  // An unchecked count (a stream of unknown end) reserves nothing up
+  // front; the records then grow only as fast as the stream supplies.
   std::vector<EventLoss> records;
-  records.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    EventLoss r;
-    r.event = read_pod<EventId>(is);
-    r.loss = read_pod<double>(is);
-    records.push_back(r);
+  records.reserve(end == format::kUnknownEnd ? 0 : n);
+  char block[kEltBlockRecords * kEltRecordBytes];
+  for (std::uint64_t at = 0; at < n; at += kEltBlockRecords) {
+    const auto k = static_cast<std::size_t>(
+        std::min<std::uint64_t>(n - at, kEltBlockRecords));
+    read_bytes(is, block, k * kEltRecordBytes, "ELT records");
+    const char* p = block;
+    for (std::size_t i = 0; i < k; ++i, p += kEltRecordBytes) {
+      EventLoss r;
+      std::memcpy(&r.event, p, sizeof(EventId));
+      std::memcpy(&r.loss, p + sizeof(EventId), sizeof(double));
+      records.push_back(r);
+    }
   }
   return Elt(std::move(records), terms, catalogue);
 }
@@ -210,9 +181,7 @@ void write_portfolio(std::ostream& os, const Portfolio& portfolio) {
   for (const Layer& l : portfolio.layers()) {
     write_string(os, l.name);
     write_pod(os, static_cast<std::uint64_t>(l.elt_indices.size()));
-    for (const std::size_t idx : l.elt_indices) {
-      write_pod(os, static_cast<std::uint64_t>(idx));
-    }
+    write_records(os, l.elt_indices);
     write_pod(os, l.terms.occ_retention);
     write_pod(os, l.terms.occ_limit);
     write_pod(os, l.terms.agg_retention);
@@ -238,12 +207,7 @@ Portfolio read_portfolio(std::istream& is) {
     Layer l;
     l.name = read_string(is);
     const auto n = read_pod<std::uint64_t>(is);
-    check_count(is, end, n, sizeof(std::uint64_t), "layer ELT index");
-    l.elt_indices.reserve(n);
-    for (std::uint64_t j = 0; j < n; ++j) {
-      l.elt_indices.push_back(
-          static_cast<std::size_t>(read_pod<std::uint64_t>(is)));
-    }
+    l.elt_indices = read_records<std::size_t>(is, end, n, "layer ELT index");
     l.terms.occ_retention = read_pod<double>(is);
     l.terms.occ_limit = read_pod<double>(is);
     l.terms.agg_retention = read_pod<double>(is);

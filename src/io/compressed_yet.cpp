@@ -1,6 +1,5 @@
 #include "io/compressed_yet.hpp"
 
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -24,11 +23,6 @@ using format::varint_size;
 using format::write_pod;
 using format::write_varint;
 
-template <typename T>
-T read_pod(std::istream& is) {
-  return format::read_pod<T>(is);
-}
-
 }  // namespace
 
 void write_yet_compressed(std::ostream& os, const Yet& yet) {
@@ -49,23 +43,20 @@ void write_yet_compressed(std::ostream& os, const Yet& yet) {
 }
 
 Yet read_yet_compressed(std::istream& is) {
-  char magic[8];
-  is.read(magic, 8);
-  if (!is || std::memcmp(magic, kMagic, 8) != 0) {
+  // The shared header parse bounds the trial count (at least one varint
+  // byte a trial) before the offset index is sized from it; a stream of
+  // unknown end reserves nothing and grows as trials decode.
+  const format::YetHeader h = format::read_yet_header(is);
+  if (!h.compressed) {
     throw std::runtime_error("compressed YET: bad magic");
   }
-  const auto version = read_pod<std::uint32_t>(is);
-  if (version != kVersion) {
-    throw std::runtime_error("compressed YET: unsupported version");
-  }
-  const auto catalogue = read_pod<EventId>(is);
-  const auto trials = read_pod<std::uint64_t>(is);
+  const EventId catalogue = h.catalogue;
 
   std::vector<EventOccurrence> occurrences;
   std::vector<std::size_t> offsets;
-  offsets.reserve(trials + 1);
+  offsets.reserve(h.end == format::kUnknownEnd ? 1 : h.trials + 1);
   offsets.push_back(0);
-  for (std::uint64_t t = 0; t < trials; ++t) {
+  for (std::uint64_t t = 0; t < h.trials; ++t) {
     const std::uint64_t count = read_varint(is);
     Timestamp prev = 0;
     for (std::uint64_t i = 0; i < count; ++i) {

@@ -11,61 +11,31 @@
 
 namespace ara::io {
 
-namespace {
-
-// The shared format definition (io/format.hpp) supplies the magics,
-// version and codecs; the reader only sniffs the leading magic to pick
-// the decoder.
-using format::kYetCompressedMagic;
-using format::kYetMagic;
+using format::read_pod;
 using format::read_varint;
-
-template <typename T>
-T read_pod(std::istream& is, const char* what) {
-  return format::read_pod<T>(is, what);
-}
-
-}  // namespace
 
 YetChunkReader::YetChunkReader(std::string path) : path_(std::move(path)) {
   is_.open(path_, std::ios::binary);
   if (!is_) {
     throw std::runtime_error("YetChunkReader: cannot open " + path_);
   }
-
-  char magic[8];
-  is_.read(magic, 8);
-  if (!is_) throw std::runtime_error("YetChunkReader: truncated header");
-  if (std::memcmp(magic, kYetMagic, 8) == 0) {
-    compressed_ = false;
-  } else if (std::memcmp(magic, kYetCompressedMagic, 8) == 0) {
-    compressed_ = true;
-  } else {
-    throw std::runtime_error("YetChunkReader: not a YET file: " + path_);
-  }
-
-  const auto version = read_pod<std::uint32_t>(is_, "version");
-  if (version != format::kFormatVersion) {
-    throw std::runtime_error("YetChunkReader: unsupported YET version " +
-                             std::to_string(version));
-  }
-  catalogue_ = read_pod<EventId>(is_, "catalogue size");
-  trial_count_ =
-      static_cast<std::size_t>(read_pod<std::uint64_t>(is_, "trial count"));
-
-  if (compressed_) {
-    data_start_ = is_.tellg();
-    return;
-  }
-
-  occurrences_ = read_pod<std::uint64_t>(is_, "occurrence count");
-  offsets_.resize(trial_count_ + 1);
-  is_.read(reinterpret_cast<char*>(offsets_.data()),
-           static_cast<std::streamsize>(offsets_.size() * 8));
-  if (!is_) throw std::runtime_error("YetChunkReader: truncated offsets");
-  if (offsets_.front() != 0 || offsets_.back() != occurrences_ ||
-      !std::is_sorted(offsets_.begin(), offsets_.end())) {
-    throw std::runtime_error("YetChunkReader: corrupt offset index");
+  // The one YET header parse (io/format.hpp) sniffs the format and
+  // bounds the trial count by the file's length before the offset index
+  // is sized from it.
+  const format::YetHeader h = format::read_yet_header(is_);
+  compressed_ = h.compressed;
+  catalogue_ = h.catalogue;
+  trial_count_ = static_cast<std::size_t>(h.trials);
+  occurrences_ = h.occurrences;
+  end_ = h.end;
+  if (!compressed_) {
+    offsets_ = format::read_records<std::uint64_t>(is_, end_, h.trials + 1,
+                                                   "YET offsets");
+    if (offsets_.empty() || offsets_.front() != 0 ||
+        offsets_.back() != occurrences_ ||
+        !std::is_sorted(offsets_.begin(), offsets_.end())) {
+      throw std::runtime_error("YetChunkReader: corrupt offset index");
+    }
   }
   data_start_ = is_.tellg();
 }
@@ -98,18 +68,14 @@ Yet YetChunkReader::read_chunk_binary(std::size_t begin, std::size_t end) {
   const std::uint64_t first = offsets_[begin];
   const std::uint64_t count = offsets_[end] - first;
 
-  // One seek + one bulk read per chunk: occurrence records are 8 bytes
-  // (u32 event, u32 time), matching EventOccurrence's layout, so the
-  // file bytes land directly in the vector the Yet takes over.
-  static_assert(sizeof(EventOccurrence) == 8);
-  std::vector<EventOccurrence> occ(static_cast<std::size_t>(count));
+  // One seek + one bulk read per chunk, through the same record
+  // decoder as read_yet: the file bytes land directly in the vector
+  // the Yet takes over.
   is_.clear();
-  is_.seekg(data_start_ + static_cast<std::streamoff>(first * 8));
-  is_.read(reinterpret_cast<char*>(occ.data()),
-           static_cast<std::streamsize>(count * 8));
-  if (!is_) {
-    throw std::runtime_error("YetChunkReader: truncated occurrence data");
-  }
+  is_.seekg(data_start_ + static_cast<std::streamoff>(
+                              first * sizeof(EventOccurrence)));
+  auto occ = format::read_records<EventOccurrence>(is_, end_, count,
+                                                   "YET occurrences");
 
   std::vector<std::size_t> local(end - begin + 1);
   for (std::size_t i = 0; i <= end - begin; ++i) {

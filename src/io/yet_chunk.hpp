@@ -82,6 +82,7 @@ class YetChunkReader {
   // where the occurrence records start.
   std::vector<std::uint64_t> offsets_;
   std::streamoff data_start_ = 0;
+  std::uint64_t end_ = 0;  ///< file length, bounds every record read
 
   // Compressed format: the next trial the stream cursor sits before.
   std::size_t cursor_ = 0;

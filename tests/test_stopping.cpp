@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
 
+#include "core/metrics/stats.hpp"
 #include "synth/distributions.hpp"
 #include "synth/rng.hpp"
 
@@ -146,6 +148,63 @@ TEST(EvaluateTarget, TvarIsAtLeastVar) {
   const TargetStatus tvar =
       evaluate_target({StopMetric::kTvar, 0.99}, losses, 1.96, 0.05, 64, 4);
   EXPECT_GE(tvar.estimate, var.estimate);
+}
+
+// The bootstrap standard error as evaluate_target computed it with a
+// full std::sort of every resample: same substream, same draws, the
+// quantile and tail taken from the fully sorted array.
+double full_sort_std_error(const StoppingTarget& target,
+                           const std::vector<double>& losses,
+                           unsigned reps, std::uint64_t seed) {
+  const std::size_t n = losses.size();
+  synth::Xoshiro256StarStar rng(synth::substream(seed, n));
+  double sum = 0.0, sum2 = 0.0;
+  std::vector<double> resample(n);
+  for (unsigned rep = 0; rep < reps; ++rep) {
+    for (double& x : resample) {
+      x = losses[static_cast<std::size_t>(rng.next_below(n))];
+    }
+    std::sort(resample.begin(), resample.end());
+    const double var = quantile_sorted(resample, target.p);
+    double q = var;
+    if (target.metric == StopMetric::kTvar) {
+      const auto first =
+          std::lower_bound(resample.begin(), resample.end(), var);
+      double tail = 0.0;
+      for (auto it = first; it != resample.end(); ++it) tail += *it;
+      q = tail / static_cast<double>(resample.end() - first);
+    }
+    sum += q;
+    sum2 += q * q;
+  }
+  const double m = sum / reps;
+  return std::sqrt(std::max(0.0, sum2 / reps - m * m) *
+                   (static_cast<double>(reps) / (reps - 1.0)));
+}
+
+TEST(EvaluateTarget, TailOnlyBootstrapMatchesFullSortBitwise) {
+  // Limit-clamped losses with many exact ties: a share of zero years,
+  // values rounded to a coarse grid, and a cap that a fifth of the
+  // sample hits, so the quantile often sits inside a run of equal
+  // values whose start lies below its order statistic.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    std::vector<double> losses = lognormal_sample(1500, seed, 2.0);
+    const double cap = quantile(losses, 0.8);
+    for (std::size_t i = 0; i < losses.size(); ++i) {
+      losses[i] = i % 7 == 0 ? 0.0
+                             : std::min(cap, std::round(losses[i] / 1e5) * 1e5);
+    }
+    for (const StopMetric metric : {StopMetric::kVar, StopMetric::kTvar}) {
+      for (const double p : {0.1, 0.5, 0.8, 0.9, 0.95, 0.99}) {
+        const StoppingTarget target{metric, p};
+        const TargetStatus s =
+            evaluate_target(target, losses, 1.96, 0.05, 40, seed + 11);
+        EXPECT_EQ(s.std_error,
+                  full_sort_std_error(target, losses, 40, seed + 11))
+            << stop_metric_name(metric) << " p=" << p << " seed " << seed;
+      }
+    }
+  }
 }
 
 TEST(EvaluateStopping, IndependentSubstreamsPerTarget) {
